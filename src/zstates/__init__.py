@@ -41,7 +41,6 @@ from .dense import (
     dense_norm_sq,
     dense_project,
     dense_z,
-    dump_dense,
     permute_qubits,
     proportionality,
     to_dense,
@@ -86,7 +85,6 @@ from .protocol import (
     gen_exponential_plan,
     gen_incremental_plan,
     plan_depth,
-    produced_ref,
     validate_plan,
 )
 

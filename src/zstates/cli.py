@@ -28,13 +28,14 @@ from .plandoc import (
 )
 from .protocol import (
     ExecutionReport,
+    InvalidPlanError,
     PlanExecutionError,
     ProtocolPlan,
     StateRef,
     execute_plan,
     validate_plan,
 )
-from .verify import run_verification
+from .verify import check_distillation_cell, run_verification
 
 __all__ = ["main", "entry", "report_to_json", "report_to_text"]
 
@@ -99,8 +100,8 @@ def report_to_json(plan: ProtocolPlan, report: ExecutionReport) -> dict:
         "cycles": [
             {
                 "index": i,
-                "left": plan.cycles[i].left.id,
-                "right": plan.cycles[i].right.id,
+                "left": r.left.id,
+                "right": r.right.id,
                 "produced": {"id": r.produced.id, "k": r.produced.k,
                              "n": r.produced.n},
                 "probability": frac_to_json(r.probability),
@@ -125,11 +126,10 @@ def report_to_text(plan: ProtocolPlan, report: ExecutionReport) -> str:
     lines = [f"plan: k={plan.k} cycles={len(plan.cycles)} "
              f"target=Z_{plan.target[0]}({plan.target[1]})"]
     for i, r in enumerate(report.cycles):
-        cyc = plan.cycles[i]
         oracle = "  [oracle ok]" if r.oracle_checked else ""
         lines.append(
-            f"cycle {i + 1}: {_state_str(cyc.left)}[{cyc.left.id}] + "
-            f"{_state_str(cyc.right)}[{cyc.right.id}] -> "
+            f"cycle {i + 1}: {_state_str(r.left)}[{r.left.id}] + "
+            f"{_state_str(r.right)}[{r.right.id}] -> "
             f"{_state_str(r.produced)}[{r.produced.id}]  "
             f"p = {r.probability} (~ {approx_decimal(r.probability)}){oracle}")
     led = report.ledger
@@ -147,7 +147,7 @@ def _load_plan(path_str: str):
     """Returns (exit_code, (doc, plan) or None, problem messages)."""
     try:
         text = Path(path_str).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return EXIT_BAD_INPUT, None, [f"cannot read {path_str}: {exc}"]
     try:
         doc = parse_document(text)
@@ -157,9 +157,6 @@ def _load_plan(path_str: str):
         plan = document_to_plan(doc)
     except PlanBuildError as exc:
         return EXIT_INVALID_PLAN, None, exc.violations
-    violations = validate_plan(plan)
-    if violations:
-        return EXIT_INVALID_PLAN, None, violations
     return EXIT_OK, (doc, plan), []
 
 
@@ -199,12 +196,21 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(message, file=sys.stderr)
         return code
     doc, plan = payload
-    verify_flag = args.verify_with_oracle or doc.verify_with_oracle
-    cap = args.dense_cap if args.dense_cap is not None else \
-        (doc.dense_cap if doc.dense_cap is not None else DENSE_CAP)
+    oracle = None
+    if args.verify_with_oracle or doc.verify_with_oracle:
+        cap = args.dense_cap if args.dense_cap is not None else \
+            (doc.dense_cap if doc.dense_cap is not None else DENSE_CAP)
+
+        def oracle(k: int, n1: int, n2: int) -> Optional[list[str]]:
+            if n1 + n2 > cap:
+                return None
+            return check_distillation_cell(k, n1, n2, cap=cap)
     try:
-        report = execute_plan(plan, verify_with_oracle=verify_flag,
-                              dense_cap=cap)
+        report = execute_plan(plan, oracle)
+    except InvalidPlanError as exc:
+        for message in exc.violations:
+            print(message, file=sys.stderr)
+        return EXIT_INVALID_PLAN
     except PlanExecutionError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RUNTIME
@@ -218,12 +224,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     code, payload, problems = _load_plan(args.plan_file)
+    if code == EXIT_OK and (problems := validate_plan(payload[1])):
+        code = EXIT_INVALID_PLAN
     if code != EXIT_OK:
         for message in problems:
             print(message, file=sys.stderr)
         return code
-    _, plan = payload
-    sys.stdout.write(plan_to_dot(plan))
+    sys.stdout.write(plan_to_dot(payload[1]))
     return EXIT_OK
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "dense_project",
     "permute_qubits",
     "proportionality",
-    "dump_dense",
 ]
 
 # Widest exact dense expansion we are willing to build; override per call.
@@ -199,8 +198,3 @@ def proportionality(a: DenseState, b: DenseState) -> Optional[Fraction]:
         elif r != ratio:
             return None
     return ratio
-
-
-def dump_dense(state: DenseState) -> str:
-    """Sorted `bitstring amplitude` lines, for golden comparisons."""
-    return "\n".join(f"{s} {v}" for s, v in sorted(state.amplitudes.items()))

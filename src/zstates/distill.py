@@ -39,8 +39,6 @@ __all__ = [
     "success_probability",
 ]
 
-Selection = tuple[Sequence[int], Sequence[int]]
-
 
 class DistillationError(Exception):
     """A distillation step could not be carried out."""
@@ -72,8 +70,6 @@ class DistillOutcome:
 
     post_state: BlockSum
     success_probability: Fraction
-    measured_sector: int
-    consumed_qubits: int
 
 
 def x0_alpha(k: int) -> tuple[Fraction, ...]:
@@ -151,18 +147,7 @@ def _single_block(a: BlockSum) -> ZBlock:
     return prod.blocks[0]
 
 
-def _check_selection(selection: Selection, k: int, n1: int, n2: int) -> None:
-    for name, sel, width in (("first", selection[0], n1),
-                             ("second", selection[1], n2)):
-        chosen = list(sel)
-        if len(chosen) != k or len(set(chosen)) != k:
-            raise ValueError(f"{name} selection must pick {k} distinct qubits")
-        if any(not 0 <= i < width for i in chosen):
-            raise ValueError(f"{name} selection index out of range 0..{width - 1}")
-
-
 def distill_step(a: BlockSum, b: BlockSum,
-                 selection: Optional[Selection] = None,
                  alpha: Optional[Sequence[Fraction]] = None,
                  out_label: Optional[str] = None) -> DistillOutcome:
     """Project k qubits of each operand onto the X0 target and collect the rest.
@@ -171,10 +156,11 @@ def distill_step(a: BlockSum, b: BlockSum,
     parts are contracted against the projection target, and the kept parts
     merge back into one register (labelled `out_label`, default
     "<left>+<right>").  Because Z states are invariant under any qubit
-    permutation, the outcome does not depend on which k qubits are selected;
-    the convention is the first k of each register, and `selection` (index
-    tuples into each operand) is validated and recorded for oracle-side
-    checks only.
+    permutation, the outcome does not depend on which k qubits are measured,
+    so the step always measures the first k of each register; the dense
+    oracle (`verify.check_distillation_cell`) replays other selections.
+    Each step consumes 2k qubits and post-selects the sector with k
+    excitations across them.
 
     Raises NotCollectibleError when the leftover does not form a single Z
     factor, which happens exactly when `alpha` deviates from the default.
@@ -189,8 +175,6 @@ def distill_step(a: BlockSum, b: BlockSum,
     label_a, label_b = blk_a.register.label, blk_b.register.label
     if label_a == label_b:
         raise ValueError("operands must live on distinct registers")
-    if selection is not None:
-        _check_selection(selection, k, n1, n2)
 
     sel_a, keep_a = label_a + "/sel", label_a + "/keep"
     sel_b, keep_b = label_b + "/sel", label_b + "/keep"
@@ -206,4 +190,4 @@ def distill_step(a: BlockSum, b: BlockSum,
         raise NotCollectibleError(
             "post-measurement state does not collect into a single Z factor")
     probability = spec.beta_sq * norm_sq(post) / (norm_sq(a) * norm_sq(b))
-    return DistillOutcome(post, probability, k, 2 * k)
+    return DistillOutcome(post, probability)

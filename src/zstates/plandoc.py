@@ -20,7 +20,6 @@ from .protocol import (
     gen_exact_plan,
     gen_exponential_plan,
     gen_incremental_plan,
-    produced_ref,
 )
 
 __all__ = [
@@ -117,9 +116,11 @@ def _parse_cycle(entry: Any, where: str) -> tuple[str, str, str]:
 
 def parse_document(text: str) -> PlanDocument:
     """Parse and strictly validate a plan document; DocumentError on any flaw."""
+    # Besides JSONDecodeError, json.loads raises ValueError for an integer
+    # past the interpreter's digit limit and RecursionError for deep nesting.
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
@@ -218,8 +219,9 @@ def document_to_plan(doc: PlanDocument) -> ProtocolPlan:
     """Materialize the plan a document describes.
 
     Generator modes invoke the corresponding generator; precondition
-    violations surface as PlanBuildError.  Explicit mode resolves cycle
-    operands against the declared and previously produced states.
+    violations surface as PlanBuildError.  Explicit mode copies the states
+    and the cycles' id triples as they are; `validate_plan` reports ids
+    that name no earlier state.
     """
     if doc.mode == "exact":
         try:
@@ -236,29 +238,9 @@ def document_to_plan(doc: PlanDocument) -> ProtocolPlan:
             return gen_exponential_plan(doc.k, doc.target_n)
         except ValueError as exc:
             raise PlanBuildError([str(exc)]) from exc
-
-    declared: dict[str, StateRef] = {}
-    problems: list[str] = []
-    inputs = tuple(StateRef(i, kk, nn, "input") for i, kk, nn in doc.inputs)
-    ancillas = tuple(StateRef(i, kk, nn, "ancilla") for i, kk, nn in doc.ancillas)
-    for ref in (*inputs, *ancillas):
-        declared[ref.id] = ref
-    cycles: list[Cycle] = []
-    for idx, (left_id, right_id, produced_id) in enumerate(doc.cycles):
-        left = declared.get(left_id)
-        right = declared.get(right_id)
-        if left is None:
-            problems.append(f"cycle {idx}: unknown state {left_id!r}")
-        if right is None:
-            problems.append(f"cycle {idx}: unknown state {right_id!r}")
-        if left is None or right is None:
-            continue
-        cyc = Cycle(left, right, produced_id)
-        cycles.append(cyc)
-        declared[produced_id] = produced_ref(doc.k, cyc)
-    if problems:
-        raise PlanBuildError(problems)
-    return ProtocolPlan(doc.k, inputs, ancillas, tuple(cycles),
+    return ProtocolPlan(doc.k, tuple(StateRef(*s) for s in doc.inputs),
+                        tuple(StateRef(*s) for s in doc.ancillas),
+                        tuple(Cycle(*c) for c in doc.cycles),
                         (doc.k, doc.target_n))
 
 
@@ -271,8 +253,7 @@ def plan_to_document(plan: ProtocolPlan, verify_with_oracle: bool = False,
         mode="explicit",
         inputs=tuple((r.id, r.k, r.n) for r in plan.inputs),
         ancillas=tuple((r.id, r.k, r.n) for r in plan.ancillas),
-        cycles=tuple((c.left.id, c.right.id, c.produced_id)
-                     for c in plan.cycles),
+        cycles=tuple((c.left, c.right, c.produced) for c in plan.cycles),
         verify_with_oracle=verify_with_oracle,
         dense_cap=dense_cap,
     )

@@ -1,25 +1,25 @@
 """Declarative multi-cycle distillation plans with exact accounting.
 
-A plan lists the base states it consumes, the pairwise distillation cycles
-to run, and the intended final state.  Execution is purely symbolic and
-deterministic.  Cycles act on disjoint fresh states (the dataflow rules
-below enforce single consumption), so the probability that an entire plan
-succeeds is the product of its per-cycle success probabilities.
+A plan is a graph: the declared input and ancilla states are its base
+nodes, and each cycle joins two states, named by id, into a third.  One
+pass resolves every id to its size, depth and producing cycle and collects
+the violations; validation, depth, critical path, ledger, execution and
+DOT export all read it.  Execution is purely symbolic and deterministic.
+Cycles act on disjoint fresh states (the dataflow rules enforce single
+consumption), so the probability that an entire plan succeeds is the
+product of its per-cycle success probabilities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .blocks import BlockSum, RegisterId, z_state
-from .dense import DENSE_CAP
 from .distill import DistillationError, distill_step
-from .verify import check_distillation_cell
 
 __all__ = [
-    "ORIGINS",
     "StateRef",
     "Cycle",
     "ProtocolPlan",
@@ -28,7 +28,6 @@ __all__ = [
     "ExecutionReport",
     "InvalidPlanError",
     "PlanExecutionError",
-    "produced_ref",
     "validate_plan",
     "execute_plan",
     "build_ledger",
@@ -39,26 +38,27 @@ __all__ = [
     "gen_exponential_plan",
 ]
 
-ORIGINS = ("input", "ancilla", "intermediate")
+# oracle(k, n1, n2): the problems found replaying one step on Z_k(n1), Z_k(n2)
+# (empty when it agrees), or None when the step is beyond the oracle's reach.
+Oracle = Callable[[int, int, int], Optional[list[str]]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateRef:
     """Descriptor of one Z_k(n) state appearing in a plan."""
 
     id: str
     k: int
     n: int
-    origin: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cycle:
-    """One distillation cycle: left + right -> produced, consuming 2k qubits."""
+    """One distillation cycle, by state id: left + right -> produced."""
 
-    left: StateRef
-    right: StateRef
-    produced_id: str
+    left: str
+    right: str
+    produced: str
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,8 @@ class ProtocolPlan:
 
 @dataclass(frozen=True)
 class CycleResult:
+    left: StateRef
+    right: StateRef
     produced: StateRef
     probability: Fraction
     oracle_checked: bool = False
@@ -110,80 +112,102 @@ class PlanExecutionError(RuntimeError):
         super().__init__(f"cycle {cycle_index}: {message}")
 
 
-def produced_ref(plan_k: int, cycle: Cycle) -> StateRef:
-    return StateRef(cycle.produced_id, plan_k,
-                    cycle.left.n + cycle.right.n - 2 * plan_k, "intermediate")
+@dataclass(frozen=True)
+class _Resolved:
+    """Declared states and products whose operands resolved, by id.
 
-
-def validate_plan(plan: ProtocolPlan) -> list[str]:
-    """Every violation found; an empty list means the plan is executable.
-
-    Checks excitation-count consistency, the n >= 2k operand requirement,
-    single consumption, dataflow ordering, id uniqueness, and the target
-    arithmetic.
+    `depth` and `producer` hold only products; a base state has depth 0.
     """
+
+    refs: dict[str, StateRef]
+    depth: dict[str, int]
+    producer: dict[str, Cycle]
+    final: Optional[StateRef]
+    violations: list[str]
+
+
+def _resolve(plan: ProtocolPlan) -> _Resolved:
     v: list[str] = []
     k = plan.k
     if k < 1:
         v.append(f"plan k must be >= 1, got {k}")
     if plan.target[0] != k:
         v.append(f"target excitation count {plan.target[0]} != plan k {k}")
-    declared: dict[str, StateRef] = {}
-    for origin, refs in (("input", plan.inputs), ("ancilla", plan.ancillas)):
-        for ref in refs:
+    refs: dict[str, StateRef] = {}
+    for origin, declared in (("input", plan.inputs), ("ancilla", plan.ancillas)):
+        for ref in declared:
             if not ref.id:
                 v.append(f"{origin} state with empty id")
-            if ref.id in declared:
+            if ref.id in refs:
                 v.append(f"duplicate state id {ref.id!r}")
-            declared[ref.id] = ref
-            if ref.origin != origin:
-                v.append(f"state {ref.id!r} declared under {origin} "
-                         f"but marked {ref.origin!r}")
+            refs[ref.id] = ref
             if ref.k != k:
                 v.append(f"state {ref.id!r} has k={ref.k}, plan k={k}")
             if ref.n < 1:
                 v.append(f"state {ref.id!r} has no qubits")
-    seen = set(declared)
-    available = dict(declared)
+    depth: dict[str, int] = {}
+    producer: dict[str, Cycle] = {}
+    unresolved: set[str] = set()
     consumed: set[str] = set()
-    last: Optional[StateRef] = None
+    final: Optional[StateRef] = None
     for i, cyc in enumerate(plan.cycles):
-        for side, ref in (("left", cyc.left), ("right", cyc.right)):
-            if ref.k != k:
-                v.append(f"cycle {i}: {side} operand has k={ref.k}, plan k={k}")
+        operands = []
+        for side, op in (("left", cyc.left), ("right", cyc.right)):
+            ref = refs.get(op)
+            if ref is None:
+                # A product of an unresolved cycle was reported with it.
+                if op not in unresolved:
+                    v.append(f"cycle {i}: {side} operand {op!r} is not an input, "
+                             f"ancilla, or earlier product")
+                continue
             if ref.n < 2 * k:
                 v.append(f"cycle {i}: {side} operand Z_{ref.k}({ref.n}) has n < 2k")
-            if ref.id in consumed:
-                v.append(f"cycle {i}: {side} operand {ref.id!r} already consumed")
-                continue
-            have = available.get(ref.id)
-            if have is None:
-                v.append(f"cycle {i}: {side} operand {ref.id!r} is not an input, "
-                         f"ancilla, or earlier product")
-                continue
-            if (have.k, have.n, have.origin) != (ref.k, ref.n, ref.origin):
-                v.append(f"cycle {i}: {side} operand {ref.id!r} does not match "
-                         f"its declaration Z_{have.k}({have.n})")
-            consumed.add(ref.id)
-            del available[ref.id]
-        if not cyc.produced_id:
+            if op in consumed:
+                v.append(f"cycle {i}: {side} operand {op!r} already consumed")
+            consumed.add(op)
+            operands.append(ref)
+        if not cyc.produced:
             v.append(f"cycle {i}: empty produced id")
-        if cyc.produced_id in seen:
-            v.append(f"cycle {i}: produced id {cyc.produced_id!r} already in use")
-        out = produced_ref(k, cyc)
-        seen.add(out.id)
-        available[out.id] = out
-        last = out
+        if cyc.produced in refs or cyc.produced in unresolved:
+            v.append(f"cycle {i}: produced id {cyc.produced!r} already in use")
+        final = None
+        if len(operands) < 2:
+            unresolved.add(cyc.produced)
+            continue
+        left, right = operands
+        final = StateRef(cyc.produced, k, left.n + right.n - 2 * k)
+        refs[final.id] = final
+        depth[final.id] = 1 + max(depth.get(left.id, 0), depth.get(right.id, 0))
+        producer[final.id] = cyc
     if plan.cycles:
-        if last is not None and (last.k, last.n) != plan.target:
-            v.append(f"final product Z_{last.k}({last.n}) does not match target "
+        if final is not None and (final.k, final.n) != plan.target:
+            v.append(f"final product Z_{final.k}({final.n}) does not match target "
                      f"Z_{plan.target[0]}({plan.target[1]})")
-    elif not any((r.k, r.n) == plan.target for r in plan.inputs):
-        v.append("plan with no cycles has no input matching the target")
-    return v
+    else:
+        final = next((r for r in plan.inputs if (r.k, r.n) == plan.target), None)
+        if final is None:
+            v.append("plan with no cycles has no input matching the target")
+    return _Resolved(refs, depth, producer, final, v)
 
 
-def build_ledger(plan: ProtocolPlan) -> ResourceLedger:
+def _resolve_valid(plan: ProtocolPlan) -> _Resolved:
+    resolved = _resolve(plan)
+    if resolved.violations:
+        raise InvalidPlanError(resolved.violations)
+    return resolved
+
+
+def validate_plan(plan: ProtocolPlan) -> list[str]:
+    """Every violation found; an empty list means the plan is executable.
+
+    Checks excitation-count consistency, the n >= 2k operand requirement,
+    that every operand names an input, ancilla or earlier product, single
+    consumption, id uniqueness, and the target arithmetic.
+    """
+    return _resolve(plan).violations
+
+
+def _ledger(plan: ProtocolPlan, resolved: _Resolved) -> ResourceLedger:
     input_qubits = sum(r.n for r in plan.inputs)
     ancilla_qubits = sum(r.n for r in plan.ancillas)
     consumed = 2 * plan.k * len(plan.cycles)
@@ -193,87 +217,73 @@ def build_ledger(plan: ProtocolPlan) -> ResourceLedger:
         consumed_qubits=consumed,
         cycles=len(plan.cycles),
         output_qubits=input_qubits + ancilla_qubits - consumed,
-        depth=plan_depth(plan),
+        depth=max(resolved.depth.values(), default=0),
     )
+
+
+def build_ledger(plan: ProtocolPlan) -> ResourceLedger:
+    return _ledger(plan, _resolve(plan))
 
 
 def plan_depth(plan: ProtocolPlan) -> int:
     """Longest dependency chain of cycles (0 for a plan with none)."""
-    depth: dict[str, int] = {r.id: 0 for r in (*plan.inputs, *plan.ancillas)}
-    best = 0
-    for cyc in plan.cycles:
-        d = 1 + max(depth.get(cyc.left.id, 0), depth.get(cyc.right.id, 0))
-        depth[cyc.produced_id] = d
-        best = max(best, d)
-    return best
+    return max(_resolve(plan).depth.values(), default=0)
 
 
 def critical_path(plan: ProtocolPlan) -> list[int]:
-    """Qubit counts along the deepest dependency chain, base state first."""
-    if not plan.cycles:
-        return [plan.target[1]]
-    depth: dict[str, int] = {r.id: 0 for r in (*plan.inputs, *plan.ancillas)}
-    by_id: dict[str, Cycle] = {}
-    for cyc in plan.cycles:
-        depth[cyc.produced_id] = 1 + max(depth[cyc.left.id], depth[cyc.right.id])
-        by_id[cyc.produced_id] = cyc
-    cur = plan.cycles[-1]
-    path = [produced_ref(plan.k, cur).n]
-    while True:
-        pick = cur.left if depth[cur.left.id] >= depth[cur.right.id] else cur.right
-        path.append(pick.n)
-        nxt = by_id.get(pick.id)
-        if nxt is None:
-            break
-        cur = nxt
+    """Qubit counts along the deepest dependency chain, base state first.
+
+    Raises InvalidPlanError for a plan that does not validate.
+    """
+    resolved = _resolve_valid(plan)
+    depth = resolved.depth
+    state = resolved.final
+    path = [state.n]
+    while state.id in resolved.producer:
+        cyc = resolved.producer[state.id]
+        pick = (cyc.left if depth.get(cyc.left, 0) >= depth.get(cyc.right, 0)
+                else cyc.right)
+        state = resolved.refs[pick]
+        path.append(state.n)
     path.reverse()
     return path
 
 
-def execute_plan(plan: ProtocolPlan, verify_with_oracle: bool = False,
-                 dense_cap: int = DENSE_CAP) -> ExecutionReport:
+def execute_plan(plan: ProtocolPlan,
+                 oracle: Optional[Oracle] = None) -> ExecutionReport:
     """Run every cycle in order, symbolically, with exact probabilities.
 
-    With verify_with_oracle set, each cycle whose operands fit under the
-    dense cap is also replayed on the brute-force expansion and the two
-    routes must agree.  Errors name the failing cycle index.
+    Raises InvalidPlanError, listing every violation, for a plan that does
+    not validate.  With an `oracle`, each cycle is also replayed on it: a
+    cycle it reports problems for fails, one it returns None for (beyond
+    its reach) stays unchecked.  Errors name the failing cycle index.
     """
-    violations = validate_plan(plan)
-    if violations:
-        raise InvalidPlanError(violations)
-    states: dict[str, BlockSum] = {}
-    depth: dict[str, int] = {}
-    for ref in (*plan.inputs, *plan.ancillas):
-        states[ref.id] = z_state(ref.k, ref.n, RegisterId(ref.id, ref.n))
-        depth[ref.id] = 0
+    resolved = _resolve_valid(plan)
+    refs = resolved.refs
+    states: dict[str, BlockSum] = {
+        ref.id: z_state(ref.k, ref.n, RegisterId(ref.id, ref.n))
+        for ref in (*plan.inputs, *plan.ancillas)}
     results: list[CycleResult] = []
     cumulative = Fraction(1)
-    final_ref: Optional[StateRef] = None
     for i, cyc in enumerate(plan.cycles):
-        left = states.pop(cyc.left.id)
-        right = states.pop(cyc.right.id)
+        left, right = refs[cyc.left], refs[cyc.right]
         try:
-            outcome = distill_step(left, right, out_label=cyc.produced_id)
+            outcome = distill_step(states.pop(cyc.left), states.pop(cyc.right),
+                                   out_label=cyc.produced)
         except (ValueError, DistillationError) as exc:
             raise PlanExecutionError(i, str(exc)) from exc
-        checked = False
-        if verify_with_oracle and cyc.left.n + cyc.right.n <= dense_cap:
-            problems = check_distillation_cell(plan.k, cyc.left.n, cyc.right.n,
-                                               cap=dense_cap)
-            if problems:
-                raise PlanExecutionError(
-                    i, "oracle disagreement: " + "; ".join(problems))
-            checked = True
-        out = produced_ref(plan.k, cyc)
-        states[out.id] = outcome.post_state
-        depth[out.id] = 1 + max(depth[cyc.left.id], depth[cyc.right.id])
+        problems = None if oracle is None else oracle(plan.k, left.n, right.n)
+        if problems:
+            raise PlanExecutionError(
+                i, "oracle disagreement: " + "; ".join(problems))
+        states[cyc.produced] = outcome.post_state
         cumulative *= outcome.success_probability
-        results.append(CycleResult(out, outcome.success_probability, checked))
-        final_ref = out
-    if final_ref is None:
-        final_ref = next(r for r in plan.inputs if (r.k, r.n) == plan.target)
-    return ExecutionReport(tuple(results), cumulative, build_ledger(plan),
-                           final_ref, states[final_ref.id])
+        results.append(CycleResult(left, right, refs[cyc.produced],
+                                   outcome.success_probability,
+                                   problems is not None))
+    return ExecutionReport(tuple(results), cumulative,
+                           _ledger(plan, resolved), resolved.final,
+                           states[resolved.final.id])
 
 
 def _check_generator_domain(k: int, n: int, name: str, minimum: int) -> None:
@@ -291,12 +301,10 @@ def gen_exact_plan(k: int, n1: int, n2: int) -> ProtocolPlan:
     """
     _check_generator_domain(k, n1, "n1", 2 * k)
     _check_generator_domain(k, n2, "n2", 2 * k)
-    in1 = StateRef("in1", k, n1, "input")
-    in2 = StateRef("in2", k, n2, "input")
-    anc = StateRef("anc", k, 4 * k, "ancilla")
-    first = Cycle(anc, in1, "mid")
-    second = Cycle(produced_ref(k, first), in2, "out")
-    return ProtocolPlan(k, (in1, in2), (anc,), (first, second), (k, n1 + n2))
+    inputs = (StateRef("in1", k, n1), StateRef("in2", k, n2))
+    cycles = (Cycle("anc", "in1", "mid"), Cycle("mid", "in2", "out"))
+    return ProtocolPlan(k, inputs, (StateRef("anc", k, 4 * k),), cycles,
+                        (k, n1 + n2))
 
 
 def gen_incremental_plan(k: int, n_target: int) -> ProtocolPlan:
@@ -309,15 +317,11 @@ def gen_incremental_plan(k: int, n_target: int) -> ProtocolPlan:
     base_n = 2 * k + 1
     _check_generator_domain(k, n_target, "n_target", base_n)
     steps = n_target - base_n
-    bases = tuple(StateRef(f"base{i + 1}", k, base_n, "input")
+    bases = tuple(StateRef(f"base{i + 1}", k, base_n)
                   for i in range(max(1, steps + 1)))
-    cycles: list[Cycle] = []
-    current = bases[0]
-    for i in range(steps):
-        cyc = Cycle(current, bases[i + 1], f"s{i + 1}")
-        cycles.append(cyc)
-        current = produced_ref(k, cyc)
-    return ProtocolPlan(k, bases, (), tuple(cycles), (k, n_target))
+    cycles = tuple(Cycle(f"s{i}" if i else "base1", f"base{i + 2}", f"s{i + 1}")
+                   for i in range(steps))
+    return ProtocolPlan(k, bases, (), cycles, (k, n_target))
 
 
 def gen_exponential_plan(k: int, n_target: int) -> ProtocolPlan:
@@ -335,31 +339,20 @@ def gen_exponential_plan(k: int, n_target: int) -> ProtocolPlan:
     span = n_target - 2 * k
     bases: list[StateRef] = []
     cycles: list[Cycle] = []
-    counter = 0
 
-    def fresh_base() -> StateRef:
-        ref = StateRef(f"base{len(bases) + 1}", k, base_n, "input")
-        bases.append(ref)
-        return ref
+    def fresh_base() -> str:
+        bases.append(StateRef(f"base{len(bases) + 1}", k, base_n))
+        return bases[-1].id
 
-    def fresh_id() -> str:
-        nonlocal counter
-        counter += 1
-        return f"s{counter}"
+    def join(left: str, right: str) -> str:
+        cycles.append(Cycle(left, right, f"s{len(cycles) + 1}"))
+        return cycles[-1].produced
 
-    def build(s: int) -> StateRef:
-        if s == 1:
-            return fresh_base()
-        left = build(s // 2)
-        right = build(s // 2)
-        cyc = Cycle(left, right, fresh_id())
-        cycles.append(cyc)
-        return produced_ref(k, cyc)
+    def build(s: int) -> str:
+        return fresh_base() if s == 1 else join(build(s // 2), build(s // 2))
 
     top = 1 << (span.bit_length() - 1)
     current = build(top)
     for _ in range(span - top):
-        cyc = Cycle(current, fresh_base(), fresh_id())
-        cycles.append(cyc)
-        current = produced_ref(k, cyc)
+        current = join(current, fresh_base())
     return ProtocolPlan(k, tuple(bases), (), tuple(cycles), (k, n_target))

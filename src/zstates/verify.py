@@ -132,6 +132,8 @@ def check_distillation_cell(k: int, n1: int, n2: int, cap: int = DENSE_CAP,
     that the brute-force projection remainder is proportional to the same
     dense state, and that the oracle weight equals both the symbolic and the
     closed-form probability.  Returns failure descriptions (empty = agree).
+    `selection` names the k measured qubits of each operand for the dense
+    replay (default: the first k of each).
     With unit_alpha the projection weights are all forced to 1 instead of
     the proper choice, the negative control.
     """
@@ -141,7 +143,7 @@ def check_distillation_cell(k: int, n1: int, n2: int, cap: int = DENSE_CAP,
     b = z_state(k, n2, RegisterId("B", n2))
     n_out = n1 + n2 - 2 * k
     try:
-        outcome = distill_step(a, b, selection=selection, alpha=alpha)
+        outcome = distill_step(a, b, alpha=alpha)
     except NotCollectibleError:
         return [f"{where}: post state does not collect to a single Z factor"]
     failures = []
@@ -155,6 +157,8 @@ def check_distillation_cell(k: int, n1: int, n2: int, cap: int = DENSE_CAP,
         failures.append(f"{where}: symbolic post state is not a single Z_{k}({n_out})")
     if n1 + n2 <= cap:
         sel_a, sel_b = selection if selection is not None else (range(k), range(k))
+        if any(not 0 <= i < n for sel, n in ((sel_a, n1), (sel_b, n2)) for i in sel):
+            raise ValueError("selection index out of range for its operand")
         joint = to_dense(tensor(a, b), cap=cap)
         qubits = [*sel_a, *(n1 + i for i in sel_b)]
         target, _ = x0_state(k, RegisterId("XA", k), RegisterId("XB", k), alpha=alpha)

@@ -132,6 +132,10 @@ def test_run_malformed_document_exits_2(tmp_path, capsys):
     assert "malformed" in err
     code, _, _ = run_cli(capsys, "run", str(tmp_path / "missing.json"))
     assert code == 2
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert "cannot read" in err and len(err.splitlines()) == 1
 
 
 def test_run_k_mismatch_exits_3(tmp_path, capsys):

@@ -18,7 +18,6 @@ from zstates import (
     dense_norm_sq,
     dense_project,
     dense_z,
-    dump_dense,
     inner_product,
     permute_qubits,
     proportionality,
@@ -230,11 +229,6 @@ def test_proportionality():
     c = dict(a.amplitudes)
     c["100"] = Fraction(2)
     assert proportionality(DenseState(a.registers, c), a) is None
-
-
-def test_dump_dense_is_sorted():
-    text = dump_dense(to_dense(scale(z_state(1, 2, "A"), Fraction(1, 2))))
-    assert text == "01 1/2\n10 1/2"
 
 
 def test_dense_norm_sq():

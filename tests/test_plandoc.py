@@ -90,6 +90,16 @@ def test_malformed_documents_rejected(mutation):
         parse_document(json.dumps(base))
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 10**5,
+    '{"schema_version": 1, "mode": "incremental", "k": 1, "target_n": '
+    + "9" * 5000 + "}",
+], ids=["deep-nesting", "int-past-digit-limit"])
+def test_malformed_text_rejected(text):
+    with pytest.raises(DocumentError):
+        parse_document(text)
+
+
 def test_missing_fields_rejected():
     with pytest.raises(DocumentError):
         parse_document(json.dumps({"schema_version": 1, "mode": "exact", "k": 1}))
@@ -116,15 +126,13 @@ def test_generator_preconditions_surface_as_build_errors():
         document_to_plan(PlanDocument(k=2, target_n=5, mode="exact", n1=2, n2=3))
 
 
-def test_explicit_unknown_state_is_a_build_error():
+def test_explicit_unknown_state_is_a_violation():
     doc = PlanDocument(
         k=1, target_n=4, mode="explicit",
         inputs=(("a", 1, 3),),
         cycles=(("a", "ghost", "out"),),
     )
-    with pytest.raises(PlanBuildError) as err:
-        document_to_plan(doc)
-    assert any("ghost" in v for v in err.value.violations)
+    assert any("ghost" in v for v in validate_plan(document_to_plan(doc)))
 
 
 def test_fraction_json_roundtrip():

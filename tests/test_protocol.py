@@ -7,6 +7,7 @@ import pytest
 from zstates import (
     Cycle,
     InvalidPlanError,
+    PlanExecutionError,
     ProtocolPlan,
     StateRef,
     critical_path,
@@ -19,12 +20,14 @@ from zstates import (
     validate_plan,
     z_state,
 )
+from zstates.verify import check_distillation_cell
 
 
 def single_cycle_plan(k=1, n1=3, n2=3):
-    a = StateRef("a", k, n1, "input")
-    b = StateRef("b", k, n2, "input")
-    return ProtocolPlan(k, (a, b), (), (Cycle(a, b, "out"),), (k, n1 + n2 - 2 * k))
+    a = StateRef("a", k, n1)
+    b = StateRef("b", k, n2)
+    return ProtocolPlan(k, (a, b), (), (Cycle("a", "b", "out"),),
+                        (k, n1 + n2 - 2 * k))
 
 
 # ------------------------------------------------------------- validation
@@ -36,35 +39,35 @@ def test_generated_plans_are_valid():
 
 
 def test_validate_flags_small_operand():
-    a = StateRef("a", 1, 1, "input")
-    b = StateRef("b", 1, 3, "input")
-    plan = ProtocolPlan(1, (a, b), (), (Cycle(a, b, "out"),), (1, 2))
+    a = StateRef("a", 1, 1)
+    b = StateRef("b", 1, 3)
+    plan = ProtocolPlan(1, (a, b), (), (Cycle("a", "b", "out"),), (1, 2))
     assert any("n < 2k" in v for v in validate_plan(plan))
 
 
 def test_validate_flags_double_consumption():
-    a = StateRef("a", 1, 3, "input")
-    b = StateRef("b", 1, 3, "input")
+    a = StateRef("a", 1, 3)
+    b = StateRef("b", 1, 3)
     plan = ProtocolPlan(1, (a, b), (),
-                        (Cycle(a, b, "c"), Cycle(a, StateRef("c", 1, 4, "intermediate"), "d")),
-                        (1, 5))
+                        (Cycle("a", "b", "c"), Cycle("a", "c", "d")), (1, 5))
     assert any("already consumed" in v for v in validate_plan(plan))
 
 
 def test_validate_flags_unknown_operand_and_future_product():
-    a = StateRef("a", 1, 3, "input")
-    b = StateRef("b", 1, 3, "input")
-    ghost = StateRef("ghost", 1, 4, "intermediate")
+    a = StateRef("a", 1, 3)
+    b = StateRef("b", 1, 3)
     plan = ProtocolPlan(1, (a, b), (),
-                        (Cycle(ghost, a, "x"), Cycle(b, StateRef("x", 1, 5, "intermediate"), "y")),
-                        (1, 6))
+                        (Cycle("ghost", "a", "x"), Cycle("b", "x", "y")), (1, 6))
     assert any("not an input" in v for v in validate_plan(plan))
+    future = ProtocolPlan(1, (a, b, StateRef("c", 1, 3)), (),
+                          (Cycle("a", "x", "y"), Cycle("b", "c", "x")), (1, 4))
+    assert any("'x' is not an input" in v for v in validate_plan(future))
 
 
 def test_validate_flags_k_mismatch():
-    a = StateRef("a", 2, 5, "input")
-    b = StateRef("b", 2, 5, "input")
-    plan = ProtocolPlan(1, (a, b), (), (Cycle(a, b, "out"),), (1, 8))
+    a = StateRef("a", 2, 5)
+    b = StateRef("b", 2, 5)
+    plan = ProtocolPlan(1, (a, b), (), (Cycle("a", "b", "out"),), (1, 8))
     assert any("plan k" in v for v in validate_plan(plan))
 
 
@@ -75,16 +78,15 @@ def test_validate_flags_target_mismatch():
 
 
 def test_validate_flags_duplicate_and_reused_ids():
-    a = StateRef("a", 1, 3, "input")
-    dup = StateRef("a", 1, 3, "input")
-    plan = ProtocolPlan(1, (a, dup), (), (Cycle(a, dup, "a"),), (1, 4))
+    a = StateRef("a", 1, 3)
+    plan = ProtocolPlan(1, (a, a), (), (Cycle("a", "a", "a"),), (1, 4))
     violations = validate_plan(plan)
     assert any("duplicate state id" in v for v in violations)
     assert any("already in use" in v for v in violations)
 
 
 def test_validate_empty_plan_needs_matching_input():
-    a = StateRef("a", 1, 3, "input")
+    a = StateRef("a", 1, 3)
     ok = ProtocolPlan(1, (a,), (), (), (1, 3))
     assert validate_plan(ok) == []
     bad = ProtocolPlan(1, (a,), (), (), (1, 4))
@@ -94,7 +96,8 @@ def test_validate_empty_plan_needs_matching_input():
 # -------------------------------------------------------------- execution
 
 def test_execute_single_cycle():
-    report = execute_plan(single_cycle_plan(), verify_with_oracle=True)
+    report = execute_plan(single_cycle_plan(),
+                          lambda k, n1, n2: check_distillation_cell(k, n1, n2))
     assert report.final_state == z_state(1, 4, "out")
     assert report.cumulative_success == Fraction(2, 9)
     assert report.cycles[0].oracle_checked
@@ -117,10 +120,18 @@ def test_execute_empty_plan():
     assert report.final_state == z_state(1, 3, "base1")
 
 
+def test_execute_oracle_verdicts():
+    plan = gen_exact_plan(1, 3, 3)
+    report = execute_plan(plan, lambda k, n1, n2: None)
+    assert not any(c.oracle_checked for c in report.cycles)
+    with pytest.raises(PlanExecutionError, match="cycle 1: oracle disagreement: off"):
+        execute_plan(plan, lambda k, n1, n2: ["off"] if n1 == 5 else [])
+
+
 def test_execute_rejects_invalid_plan():
-    a = StateRef("a", 1, 1, "input")
-    b = StateRef("b", 1, 3, "input")
-    plan = ProtocolPlan(1, (a, b), (), (Cycle(a, b, "out"),), (1, 2))
+    a = StateRef("a", 1, 1)
+    b = StateRef("b", 1, 3)
+    plan = ProtocolPlan(1, (a, b), (), (Cycle("a", "b", "out"),), (1, 2))
     with pytest.raises(InvalidPlanError):
         execute_plan(plan)
 
@@ -130,9 +141,9 @@ def test_cumulative_equals_product_of_closed_forms():
                  gen_exact_plan(3, 7, 8)):
         report = execute_plan(plan)
         product = Fraction(1)
-        for i, cyc in enumerate(plan.cycles):
-            p = success_probability(plan.k, cyc.left.n, cyc.right.n)
-            assert report.cycles[i].probability == p
+        for res in report.cycles:
+            p = success_probability(plan.k, res.left.n, res.right.n)
+            assert res.probability == p
             product *= p
         assert report.cumulative_success == product
 
@@ -142,8 +153,8 @@ def test_cumulative_equals_product_of_closed_forms():
 def test_exact_plan_shape():
     plan = gen_exact_plan(2, 5, 6)
     assert [r.n for r in plan.ancillas] == [8]
-    assert plan.cycles[0].left.id == "anc"
-    mids = [c.produced_id for c in plan.cycles]
+    assert plan.cycles[0].left == "anc"
+    mids = [c.produced for c in plan.cycles]
     assert mids == ["mid", "out"]
     report = execute_plan(plan)
     assert report.final.n == 11
@@ -206,7 +217,7 @@ def test_exponential_w10_path():
     assert critical_path(plan) == [3, 4, 6, 10]
     assert plan_depth(plan) == 3
     assert len(plan.cycles) == 7
-    assert execute_plan(plan).final_state == z_state(1, 10, plan.cycles[-1].produced_id)
+    assert execute_plan(plan).final_state == z_state(1, 10, plan.cycles[-1].produced)
 
 
 def test_exponential_first_step_matches_incremental():
