@@ -11,9 +11,10 @@ dividing amplitudes (which would drag in irrational square roots).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .combinatorics import binom
 
@@ -42,7 +43,7 @@ __all__ = [
 CoeffLike = Union[Fraction, int]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RegisterId:
     """A named group of qubits; width is the qubit count."""
 
@@ -56,7 +57,7 @@ class RegisterId:
             raise ValueError(f"register width must be non-negative, got {self.width}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ZBlock:
     """One Z_k(n) factor on a register of width n."""
 
@@ -76,11 +77,34 @@ class ZBlock:
         return binom(self.register.width, self.excitations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class BlockProduct:
-    """Product of Z blocks over pairwise-distinct registers, sorted by label."""
+    """Product of Z blocks over pairwise-distinct registers, sorted by label.
+
+    :meth:`of` sorts the blocks and checks that their labels are distinct;
+    the algebra's own operations, whose outputs keep both invariants by
+    construction, call the constructor directly.  The key is computed once,
+    at construction: ``(label, width, excitations)`` of every block in
+    block order, flattened into one tuple.  Equality, hashing and
+    :meth:`sort_key` read it, so two products are equal exactly when their
+    blocks are.
+    """
 
     blocks: tuple[ZBlock, ...]
+    _key: tuple[Union[str, int], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", tuple([
+            x for b in self.blocks
+            for x in (b.register.label, b.register.width, b.excitations)]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BlockProduct):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @staticmethod
     def of(blocks: Iterable[ZBlock]) -> "BlockProduct":
@@ -91,7 +115,7 @@ class BlockProduct:
         return BlockProduct(ordered)
 
     def registers(self) -> tuple[RegisterId, ...]:
-        return tuple(b.register for b in self.blocks)
+        return tuple([b.register for b in self.blocks])
 
     def block_for(self, label: str) -> ZBlock:
         for b in self.blocks:
@@ -100,8 +124,7 @@ class BlockProduct:
         raise KeyError(label)
 
     def sort_key(self):
-        return tuple(
-            (b.register.label, b.register.width, b.excitations) for b in self.blocks)
+        return self._key
 
 
 Term = tuple[Fraction, BlockProduct]
@@ -111,10 +134,16 @@ Term = tuple[Fraction, BlockProduct]
 class BlockSum:
     """Canonical rational combination of block products over one register set.
 
-    Canonical means: like terms merged, zero coefficients dropped, terms
-    sorted, and every term over the identical register set.  Use
-    :func:`block_sum` to construct one; equality of canonical forms is exact
-    symbolic equality.
+    Canonical means: like terms merged, zero coefficients dropped, every
+    coefficient a `Fraction`, terms sorted by product key, and every term
+    over the identical register set.  Use :func:`block_sum` to construct
+    one; equality of canonical forms is exact symbolic equality.
+
+    The operations below rely on these invariants: the products of a sum
+    are pairwise distinct, the blocks of each product are sorted by label,
+    and all products share one register set, so one register's position is
+    the same in every term, and two terms are orthogonal unless their
+    products are equal.
     """
 
     terms: tuple[Term, ...]
@@ -126,18 +155,30 @@ class BlockSum:
         return not self.terms
 
 
+def _register_key(prod: BlockProduct) -> tuple[tuple, tuple]:
+    """The register part of a product's key: its labels and its widths."""
+    return prod._key[0::3], prod._key[1::3]
+
+
 def block_sum(pairs: Iterable[tuple[CoeffLike, BlockProduct]]) -> BlockSum:
-    """Canonicalize (coefficient, product) pairs into a BlockSum."""
-    acc: dict[BlockProduct, Fraction] = {}
+    """Canonicalize (coefficient, product) pairs into a BlockSum.
+
+    Coefficients are summed as given; each one that survives becomes a
+    `Fraction` once.
+    """
+    acc: dict[tuple, list] = {}
     for coeff, prod in pairs:
-        acc[prod] = acc.get(prod, Fraction(0)) + Fraction(coeff)
-    terms = tuple(sorted(
-        ((c, p) for p, c in acc.items() if c != 0),
-        key=lambda term: term[1].sort_key()))
-    if terms:
-        regs = terms[0][1].registers()
+        slot = acc.get(prod._key)
+        if slot is None:
+            acc[prod._key] = [coeff, prod]
+        else:
+            slot[0] += coeff
+    terms = tuple([(c if type(c) is Fraction else Fraction(c), p)
+                   for _, (c, p) in sorted(acc.items()) if c])
+    if len(terms) > 1:
+        regs = _register_key(terms[0][1])
         for _, prod in terms[1:]:
-            if prod.registers() != regs:
+            if _register_key(prod) != regs:
                 raise ValueError("terms of a sum must share one register set")
     return BlockSum(terms)
 
@@ -163,23 +204,45 @@ def registers_of(a: BlockSum) -> tuple[RegisterId, ...]:
 
 
 def scale(a: BlockSum, c: CoeffLike) -> BlockSum:
-    return block_sum([(Fraction(c) * coeff, prod) for coeff, prod in a.terms])
+    c = Fraction(c)
+    return block_sum([(c * coeff, prod) for coeff, prod in a.terms])
 
 
 def add(a: BlockSum, b: BlockSum) -> BlockSum:
     return block_sum([*a.terms, *b.terms])
 
 
+def _label_order(labels: list[str]) -> Optional[list[int]]:
+    """Positions that put `labels` in sorted order; None if they already are."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    return None if order == list(range(len(labels))) else order
+
+
 def tensor(a: BlockSum, b: BlockSum) -> BlockSum:
     """Distributive product of sums over disjoint register sets."""
-    a_labels = {r.label for r in registers_of(a)}
-    b_labels = {r.label for r in registers_of(b)}
-    overlap = a_labels & b_labels
+    a_labels = [r.label for r in registers_of(a)]
+    b_labels = [r.label for r in registers_of(b)]
+    overlap = set(a_labels) & set(b_labels)
     if overlap:
         raise ValueError(f"register labels overlap: {sorted(overlap)}")
-    return block_sum([
-        (ca * cb, BlockProduct.of(pa.blocks + pb.blocks))
-        for ca, pa in a.terms for cb, pb in b.terms])
+    # Every term of a sum has the same labels, so one permutation sorts
+    # every concatenated product.
+    order = _label_order(a_labels + b_labels)
+    pairs = []
+    for ca, pa in a.terms:
+        for cb, pb in b.terms:
+            blocks = pa.blocks + pb.blocks
+            if order is not None:
+                blocks = tuple([blocks[i] for i in order])
+            pairs.append((Fraction(ca.numerator * cb.numerator,
+                                   ca.denominator * cb.denominator),
+                          BlockProduct(blocks)))
+    return block_sum(pairs)
+
+
+def _norm_sq(prod: BlockProduct) -> int:
+    """Squared norm of one product: the product of its blocks' C(width, k)."""
+    return math.prod([b.norm_sq() for b in prod.blocks])
 
 
 def inner_product(a: BlockSum, b: BlockSum) -> Fraction:
@@ -187,23 +250,27 @@ def inner_product(a: BlockSum, b: BlockSum) -> Fraction:
 
     Factors with different excitation counts on the same register are
     orthogonal; matching factors contribute C(width, k).  Amplitudes are
-    real, so no conjugation is involved.
+    real, so no conjugation is involved.  Both sums are canonical over one
+    register set, so only equal products pair up.
     """
     if a.is_zero() or b.is_zero():
         return Fraction(0)
-    if registers_of(a) != registers_of(b):
+    if _register_key(a.terms[0][1]) != _register_key(b.terms[0][1]):
         raise ValueError("inner product requires matching register sets")
-    total = Fraction(0)
+    # Sum numerators over a running denominator; one Fraction at the end.
+    b_coeffs = None if a is b else {p._key: c for c, p in b.terms}
+    num, den = 0, 1
     for ca, pa in a.terms:
-        for cb, pb in b.terms:
-            factor = ca * cb
-            for ba, bb in zip(pa.blocks, pb.blocks):
-                if ba.excitations != bb.excitations:
-                    factor = Fraction(0)
-                    break
-                factor *= ba.norm_sq()
-            total += factor
-    return total
+        cb = ca if b_coeffs is None else b_coeffs.get(pa._key)
+        if cb is None:
+            continue
+        n = ca.numerator * cb.numerator * _norm_sq(pa)
+        d = ca.denominator * cb.denominator
+        if d == den:
+            num += n
+        else:
+            num, den = num * d + n * den, den * d
+    return Fraction(num, den)
 
 
 def norm_sq(a: BlockSum) -> Fraction:
@@ -213,7 +280,8 @@ def norm_sq(a: BlockSum) -> Fraction:
 def bit_flip(a: BlockSum) -> BlockSum:
     """Exchange the roles of 0 and 1: every Z_k(n) factor becomes Z_{n-k}(n)."""
     return block_sum([
-        (c, BlockProduct.of(b.flipped() for b in p.blocks)) for c, p in a.terms])
+        (c, BlockProduct(tuple([b.flipped() for b in p.blocks])))
+        for c, p in a.terms])
 
 
 def _resolve_label(a: BlockSum, reg: Union[RegisterId, str]) -> RegisterId:
@@ -242,20 +310,25 @@ def split_register(a: BlockSum, reg: Union[RegisterId, str], m: int,
     label_left, label_right = new_labels
     if label_left == label_right:
         raise ValueError("new labels must be distinct")
-    remaining = {r.label for r in registers_of(a)} - {old.label}
+    labels = [r.label for r in registers_of(a)]
+    pos = labels.index(old.label)
+    remaining = labels[:pos] + labels[pos + 1:]
     if label_left in remaining or label_right in remaining:
         raise ValueError("new labels collide with existing registers")
     reg_left = RegisterId(label_left, m)
     reg_right = RegisterId(label_right, old.width - m)
+    order = _label_order(remaining + [label_left, label_right])
     pairs = []
     for coeff, prod in a.terms:
-        k = prod.block_for(old.label).excitations
-        rest = tuple(b for b in prod.blocks if b.register.label != old.label)
+        k = prod.blocks[pos].excitations
+        rest = prod.blocks[:pos] + prod.blocks[pos + 1:]
         lo = max(0, k - reg_right.width)
         hi = min(reg_left.width, k)
         for j in range(lo, hi + 1):
-            pairs.append((coeff, BlockProduct.of(
-                rest + (ZBlock(reg_left, j), ZBlock(reg_right, k - j)))))
+            blocks = rest + (ZBlock(reg_left, j), ZBlock(reg_right, k - j))
+            if order is not None:
+                blocks = tuple([blocks[i] for i in order])
+            pairs.append((coeff, BlockProduct(blocks)))
     return block_sum(pairs)
 
 
@@ -274,21 +347,29 @@ def merge_registers(a: BlockSum, reg_left: Union[RegisterId, str],
     right = _resolve_label(a, reg_right)
     if left.label == right.label:
         raise ValueError("left and right registers must differ")
-    others = {r.label for r in registers_of(a)} - {left.label, right.label}
+    labels = [r.label for r in registers_of(a)]
+    others = set(labels) - {left.label, right.label}
     if new_label in others:
         raise ValueError(f"label {new_label!r} already in use")
     merged = RegisterId(new_label, left.width + right.width)
+    li, ri = labels.index(left.label), labels.index(right.label)
+    rest_pos = [i for i in range(len(labels)) if i != li and i != ri]
 
-    groups: dict[tuple[tuple[ZBlock, ...], int], dict[int, Fraction]] = {}
+    # (rest excitations, total) -> (rest blocks, coefficient by left count)
+    groups: dict[tuple[tuple[int, ...], int],
+                 tuple[tuple[ZBlock, ...], dict[int, Fraction]]] = {}
     for coeff, prod in a.terms:
-        rest = tuple(b for b in prod.blocks
-                     if b.register.label not in (left.label, right.label))
-        j = prod.block_for(left.label).excitations
-        total = j + prod.block_for(right.label).excitations
-        groups.setdefault((rest, total), {})[j] = coeff
+        excs = prod._key[2::3]
+        j = excs[li]
+        group_key = (tuple([excs[i] for i in rest_pos]), j + excs[ri])
+        group = groups.get(group_key)
+        if group is None:
+            group = groups[group_key] = (
+                tuple([prod.blocks[i] for i in rest_pos]), {})
+        group[1][j] = coeff
 
     collected = []
-    for (rest, total), by_j in groups.items():
+    for (_, total), (rest, by_j) in groups.items():
         lo = max(0, total - right.width)
         hi = min(left.width, total)
         if set(by_j) != set(range(lo, hi + 1)):
@@ -311,26 +392,31 @@ def project_registers(a: BlockSum, target: BlockSum) -> BlockSum:
         raise ValueError("projection target must be nonzero")
     if a.is_zero():
         return ZERO
-    a_regs = {r.label: r for r in registers_of(a)}
+    a_regs = registers_of(a)
+    labels = [r.label for r in a_regs]
     target_regs = registers_of(target)
     for r in target_regs:
-        if a_regs.get(r.label) != r:
+        if r not in a_regs:
             raise ValueError(
                 f"target register {r.label!r} not present with matching width")
+    # Index a's terms by their excitations on the target's registers, taken
+    # in the target's (label) order, so a target term meets only its matches.
+    pos = [labels.index(r.label) for r in target_regs]
     target_labels = {r.label for r in target_regs}
+    keep = [i for i, label in enumerate(labels) if label not in target_labels]
+    index: dict[tuple[int, ...], list[Term]] = {}
+    for ca, pa in a.terms:
+        excs = pa._key[2::3]
+        index.setdefault(tuple([excs[i] for i in pos]), []).append((ca, pa))
     pairs = []
     for ct, pt in target.terms:
-        for ca, pa in a.terms:
-            factor = ct * ca
-            for bt in pt.blocks:
-                if pa.block_for(bt.register.label).excitations != bt.excitations:
-                    factor = Fraction(0)
-                    break
-                factor *= bt.norm_sq()
-            if factor:
-                rest = tuple(b for b in pa.blocks
-                             if b.register.label not in target_labels)
-                pairs.append((factor, BlockProduct.of(rest)))
+        matches = index.get(pt._key[2::3])
+        if matches:
+            weight = ct.numerator * _norm_sq(pt)
+            for ca, pa in matches:
+                pairs.append((
+                    Fraction(weight * ca.numerator, ct.denominator * ca.denominator),
+                    BlockProduct(tuple([pa.blocks[i] for i in keep]))))
     return block_sum(pairs)
 
 

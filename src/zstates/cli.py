@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -33,7 +35,6 @@ from .protocol import (
     ProtocolPlan,
     StateRef,
     execute_plan,
-    validate_plan,
 )
 from .verify import check_distillation_cell, run_verification
 
@@ -86,8 +87,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_str(n: int) -> str:
+    """Exact decimal digits of any int.
+
+    `str` refuses ints past `sys.get_int_max_str_digits()`; converting
+    through `Decimal`, which is exact for ints, has no such limit.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _frac_str(value: Fraction) -> str:
+    """`str(value)`, spelled with :func:`_int_str`."""
+    if value.denominator == 1:
+        return _int_str(value.numerator)
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+
+
 def _state_str(ref: StateRef) -> str:
-    return f"Z_{ref.k}({ref.n})"
+    return f"Z_{ref.k}({_int_str(ref.n)})"
 
 
 def report_to_json(plan: ProtocolPlan, report: ExecutionReport) -> dict:
@@ -131,9 +151,11 @@ def report_to_text(plan: ProtocolPlan, report: ExecutionReport) -> str:
             f"cycle {i + 1}: {_state_str(r.left)}[{r.left.id}] + "
             f"{_state_str(r.right)}[{r.right.id}] -> "
             f"{_state_str(r.produced)}[{r.produced.id}]  "
-            f"p = {r.probability} (~ {approx_decimal(r.probability)}){oracle}")
+            f"p = {_frac_str(r.probability)} "
+            f"(~ {approx_decimal(r.probability)}){oracle}")
     led = report.ledger
-    lines.append(f"cumulative success probability: {report.cumulative_success} "
+    lines.append("cumulative success probability: "
+                 f"{_frac_str(report.cumulative_success)} "
                  f"(~ {approx_decimal(report.cumulative_success)})")
     lines.append(f"ledger: input_qubits={led.input_qubits} "
                  f"ancilla_qubits={led.ancilla_qubits} "
@@ -141,6 +163,15 @@ def report_to_text(plan: ProtocolPlan, report: ExecutionReport) -> str:
                  f"output_qubits={led.output_qubits} depth={led.depth}")
     lines.append(f"final: {_state_str(report.final)}")
     return "\n".join(lines) + "\n"
+
+
+def _max_digits(obj) -> int:
+    """Most decimal digits of any int in a JSON-shaped value."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return max(map(_max_digits, obj), default=0)
+    return len(_int_str(abs(obj))) if type(obj) is int else 0
 
 
 def _load_plan(path_str: str):
@@ -215,8 +246,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_RUNTIME
     if args.report == "json":
-        sys.stdout.write(json.dumps(report_to_json(plan, report), indent=2)
-                         + "\n")
+        payload = report_to_json(plan, report)
+        try:
+            text = json.dumps(payload, indent=2)
+        except ValueError:
+            print(f"cannot write the JSON report: an integer in it has "
+                  f"{_max_digits(payload)} digits, past Python's "
+                  f"{sys.get_int_max_str_digits()}-digit limit for writing ints",
+                  file=sys.stderr)
+            return EXIT_RUNTIME
+        sys.stdout.write(text + "\n")
     else:
         sys.stdout.write(report_to_text(plan, report))
     return EXIT_OK
@@ -224,13 +263,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     code, payload, problems = _load_plan(args.plan_file)
-    if code == EXIT_OK and (problems := validate_plan(payload[1])):
-        code = EXIT_INVALID_PLAN
     if code != EXIT_OK:
         for message in problems:
             print(message, file=sys.stderr)
         return code
-    sys.stdout.write(plan_to_dot(payload[1]))
+    try:
+        dot = plan_to_dot(payload[1])
+    except InvalidPlanError as exc:
+        for message in exc.violations:
+            print(message, file=sys.stderr)
+        return EXIT_INVALID_PLAN
+    sys.stdout.write(dot)
     return EXIT_OK
 
 

@@ -11,16 +11,19 @@ from zstates import BlockProduct, RegisterId, ZBlock, block_sum
 
 @st.composite
 def block_sums(draw, max_registers: int = 2, max_width: int = 4,
-               max_terms: int = 3):
+               max_terms: int = 3, registers=None):
     """Random small block sums over a shared register set.
 
     Coefficients are small fractions (possibly negative, so terms may cancel
     to the zero sum); every term uses the same registers, as the canonical
-    form requires.
+    form requires.  `registers` fixes that set; by default it is drawn.
     """
-    n_regs = draw(st.integers(1, max_registers))
-    regs = [RegisterId(f"r{i}", draw(st.integers(1, max_width)))
-            for i in range(n_regs)]
+    if registers is not None:
+        regs = list(registers)
+    else:
+        n_regs = draw(st.integers(1, max_registers))
+        regs = [RegisterId(f"r{i}", draw(st.integers(1, max_width)))
+                for i in range(n_regs)]
     pairs = []
     for _ in range(draw(st.integers(1, max_terms))):
         coeff = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))

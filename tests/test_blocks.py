@@ -231,8 +231,24 @@ def test_canonical_form_idempotent(a):
 
 def test_like_terms_merge_and_zeros_drop():
     prod = BlockProduct.of((ZBlock(RegisterId("q", 3), 1),))
-    assert block_sum([(1, prod), (2, prod)]) == scale(z_state(1, 3, "q"), 3)
+    merged = block_sum([(1, prod), (2, prod)])
+    assert merged == scale(z_state(1, 3, "q"), 3)
     assert block_sum([(1, prod), (-1, prod)]) == ZERO
+    for s in (merged, block_sum([(5, prod)]), z_state(1, 3, "q")):
+        assert all(type(coeff) is Fraction for coeff, _ in s.terms)
+
+
+def test_product_key_ignores_construction_order():
+    x = ZBlock(RegisterId("x", 2), 1)
+    y = ZBlock(RegisterId("y", 3), 2)
+    xy, yx = BlockProduct.of((x, y)), BlockProduct.of((y, x))
+    assert xy.blocks == yx.blocks == (x, y)
+    assert xy == yx
+    assert hash(xy) == hash(yx)
+    assert xy != BlockProduct.of((x, ZBlock(RegisterId("y", 3), 1)))
+    assert xy != BlockProduct.of((x, ZBlock(RegisterId("y", 4), 2)))
+    with pytest.raises(ValueError):
+        BlockProduct.of((x, ZBlock(RegisterId("x", 3), 0)))
 
 
 def test_mixed_register_sets_rejected():

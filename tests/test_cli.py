@@ -1,11 +1,19 @@
 """Command line round trips, report formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from zstates.cli import main
-from zstates.plandoc import frac_from_json, parse_document
+from zstates.plandoc import document_to_plan, frac_from_json, parse_document
+from zstates.protocol import execute_plan
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +118,40 @@ def test_run_with_oracle_flag(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "run", str(path), "--verify-with-oracle")
     assert code == 0
     assert out.count("[oracle ok]") == 2
+
+
+def test_reports_past_the_int_digit_limit(tmp_path, capsys):
+    """A cumulative probability wider than `str(int)` allows still prints
+    exactly as text; the JSON report refuses it with exit 4."""
+    path = write_plan(tmp_path, capsys, "--mode", "exponential", "--k", "3",
+                      "--n-target", "1600")
+    cumulative = execute_plan(
+        document_to_plan(parse_document(path.read_text()))).cumulative_success
+    digits = len(str(Decimal(cumulative.denominator)))
+    assert digits > sys.get_int_max_str_digits()
+
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, err) == (0, "")
+    exact = f"{Decimal(cumulative.numerator)}/{Decimal(cumulative.denominator)}"
+    assert f"cumulative success probability: {exact} (~ " in out
+
+    code, out, err = run_cli(capsys, "run", str(path), "--report", "json")
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1
+    assert f" {digits} digits" in err
+
+
+def test_python_m_zstates():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "zstates", "plan", "--mode", "exact", "--k", "1",
+         "--n1", "3", "--n2", "3"], capture_output=True, text=True, env=env,
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    doc = parse_document(done.stdout)
+    assert (doc.mode, doc.k, doc.n1, doc.n2) == ("exact", 1, 3, 3)
 
 
 def test_plan_precondition_violations_exit_2(capsys):

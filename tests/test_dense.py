@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import block_sums
 from zstates import (
@@ -20,6 +21,7 @@ from zstates import (
     dense_z,
     inner_product,
     permute_qubits,
+    project_registers,
     proportionality,
     registers_of,
     scale,
@@ -190,6 +192,23 @@ def test_born_rule_completeness_over_computational_basis():
                 _, weight = dense_project(state, qubits, target)
                 total += weight
             assert total == 1
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_project_registers_agrees_with_dense(data):
+    """Symbolic partial contraction equals the dense post-selected remainder."""
+    a = data.draw(block_sums(max_registers=3), label="a")
+    regs = registers_of(a)
+    assume(regs)
+    measured = data.draw(st.lists(st.sampled_from(regs), min_size=1,
+                                  unique=True), label="measured")
+    target = data.draw(block_sums(registers=measured), label="target")
+    assume(not target.is_zero())
+    qubit_registers = [r for r in regs for _ in range(r.width)]
+    qubits = [i for i, r in enumerate(qubit_registers) if r in measured]
+    remainder, _ = dense_project(to_dense(a), qubits, to_dense(target))
+    assert to_dense(project_registers(a, target)).amplitudes == remainder.amplitudes
 
 
 # ---------------------------------------------------------- permute_qubits

@@ -1,7 +1,8 @@
 """Imports between the package modules run one way.
 
 The core layers are combinatorics -> blocks -> distill -> protocol ->
-plandoc/graph -> cli, and each may import only the layers before it.  The
+plandoc/graph -> cli -> __main__, and each may import only the layers
+before it.  The
 dense oracle and the verification sweeps sit beside protocol: they may use
 the layers below it (verify also uses dense), and of the core only cli may
 import them, so the engine never depends on its own checker.
@@ -14,7 +15,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zstates"
 LAYERS = [{"combinatorics"}, {"blocks"}, {"distill"}, {"protocol"},
-          {"plandoc", "graph"}, {"cli"}]
+          {"plandoc", "graph"}, {"cli"}, {"__main__"}]
 ORACLE = ["dense", "verify"]  # each may import the ones before it
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
