@@ -78,7 +78,6 @@ from .protocol import (
     ProtocolPlan,
     ResourceLedger,
     StateRef,
-    build_ledger,
     critical_path,
     execute_plan,
     gen_exact_plan,

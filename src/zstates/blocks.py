@@ -85,9 +85,8 @@ class BlockProduct:
     the algebra's own operations, whose outputs keep both invariants by
     construction, call the constructor directly.  The key is computed once,
     at construction: ``(label, width, excitations)`` of every block in
-    block order, flattened into one tuple.  Equality, hashing and
-    :meth:`sort_key` read it, so two products are equal exactly when their
-    blocks are.
+    block order, flattened into one tuple.  Equality and hashing read it,
+    so two products are equal exactly when their blocks are.
     """
 
     blocks: tuple[ZBlock, ...]
@@ -122,9 +121,6 @@ class BlockProduct:
             if b.register.label == label:
                 return b
         raise KeyError(label)
-
-    def sort_key(self):
-        return self._key
 
 
 Term = tuple[Fraction, BlockProduct]

@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+from .combinatorics import int_str
 from .dense import DENSE_CAP
 from .graph import plan_to_dot
 from .plandoc import (
@@ -68,9 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--report", choices=("text", "json"), default="text",
                        help="report format (default: text)")
     p_run.add_argument("--verify-with-oracle", action="store_true",
-                       help="replay each cycle on the dense expansion")
-    p_run.add_argument("--dense-cap", type=int, default=None,
-                       help="override the dense expansion qubit cap")
+                       help="replay each cycle within the dense cap on the "
+                            "dense expansion")
 
     p_graph = sub.add_parser("graph", help="emit a DOT graph of a plan")
     p_graph.add_argument("plan_file")
@@ -79,35 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, default=12, dest="max_n")
     p_verify.add_argument("--max-k", type=int, default=3, dest="max_k")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--dense-cap", type=int, default=DENSE_CAP,
-                          dest="dense_cap")
     p_verify.add_argument("--corrupt-alpha", action="store_true",
                           help="debug: sabotage the projection weights; the "
                                "distillation sweep must then fail")
     return parser
 
 
-def _int_str(n: int) -> str:
-    """Exact decimal digits of any int.
-
-    `str` refuses ints past `sys.get_int_max_str_digits()`; converting
-    through `Decimal`, which is exact for ints, has no such limit.
-    """
-    try:
-        return str(n)
-    except ValueError:
-        return str(Decimal(n))
-
-
 def _frac_str(value: Fraction) -> str:
-    """`str(value)`, spelled with :func:`_int_str`."""
+    """`str(value)`, spelled with :func:`int_str`."""
     if value.denominator == 1:
-        return _int_str(value.numerator)
-    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+        return int_str(value.numerator)
+    return f"{int_str(value.numerator)}/{int_str(value.denominator)}"
 
 
 def _state_str(ref: StateRef) -> str:
-    return f"Z_{ref.k}({_int_str(ref.n)})"
+    return f"Z_{ref.k}({int_str(ref.n)})"
 
 
 def report_to_json(plan: ProtocolPlan, report: ExecutionReport) -> dict:
@@ -171,11 +156,11 @@ def _max_digits(obj) -> int:
         obj = list(obj.values())
     if isinstance(obj, list):
         return max(map(_max_digits, obj), default=0)
-    return len(_int_str(abs(obj))) if type(obj) is int else 0
+    return len(int_str(abs(obj))) if type(obj) is int else 0
 
 
 def _load_plan(path_str: str):
-    """Returns (exit_code, (doc, plan) or None, problem messages)."""
+    """Returns (exit_code, plan or None, problem messages)."""
     try:
         text = Path(path_str).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -188,7 +173,7 @@ def _load_plan(path_str: str):
         plan = document_to_plan(doc)
     except PlanBuildError as exc:
         return EXIT_INVALID_PLAN, None, exc.violations
-    return EXIT_OK, (doc, plan), []
+    return EXIT_OK, plan, []
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -221,21 +206,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    code, payload, problems = _load_plan(args.plan_file)
+    code, plan, problems = _load_plan(args.plan_file)
     if code != EXIT_OK:
         for message in problems:
             print(message, file=sys.stderr)
         return code
-    doc, plan = payload
-    oracle = None
-    if args.verify_with_oracle or doc.verify_with_oracle:
-        cap = args.dense_cap if args.dense_cap is not None else \
-            (doc.dense_cap if doc.dense_cap is not None else DENSE_CAP)
-
-        def oracle(k: int, n1: int, n2: int) -> Optional[list[str]]:
-            if n1 + n2 > cap:
-                return None
-            return check_distillation_cell(k, n1, n2, cap=cap)
+    oracle = check_distillation_cell if args.verify_with_oracle else None
     try:
         report = execute_plan(plan, oracle)
     except InvalidPlanError as exc:
@@ -262,13 +238,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    code, payload, problems = _load_plan(args.plan_file)
+    code, plan, problems = _load_plan(args.plan_file)
     if code != EXIT_OK:
         for message in problems:
             print(message, file=sys.stderr)
         return code
     try:
-        dot = plan_to_dot(payload[1])
+        dot = plan_to_dot(plan)
     except InvalidPlanError as exc:
         for message in exc.violations:
             print(message, file=sys.stderr)
@@ -278,15 +254,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.dense_cap < 1:
-        print("--dense-cap must be positive", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.max_n > args.dense_cap:
-        print(f"--max-n {args.max_n} exceeds the dense cap {args.dense_cap}",
+    if args.max_n > DENSE_CAP:
+        print(f"--max-n {args.max_n} exceeds the dense cap {DENSE_CAP}",
               file=sys.stderr)
         return EXIT_BAD_INPUT
     results = run_verification(args.max_n, args.max_k, seed=args.seed,
-                               cap=args.dense_cap,
                                corrupt_alpha=args.corrupt_alpha)
     failed = False
     for res in results:

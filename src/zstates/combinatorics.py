@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from math import comb
 
-__all__ = ["binom", "vandermonde_holds"]
+__all__ = ["binom", "vandermonde_holds", "int_str"]
 
 
 def binom(n: int, k: int) -> int:
@@ -28,3 +29,15 @@ def vandermonde_holds(n: int, m: int, k: int) -> bool:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     lhs = sum(binom(m, j) * binom(n - m, k - j) for j in range(k + 1))
     return lhs == binom(n, k)
+
+
+def int_str(n: int) -> str:
+    """Exact decimal digits of any int.
+
+    `str` refuses ints past `sys.get_int_max_str_digits()`; converting
+    through `Decimal`, which is exact for ints, has no such limit.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))

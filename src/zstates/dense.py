@@ -30,7 +30,7 @@ __all__ = [
     "proportionality",
 ]
 
-# Widest exact dense expansion we are willing to build; override per call.
+# Widest exact dense expansion we are willing to build: the oracle's reach.
 DENSE_CAP = 22
 
 
@@ -60,14 +60,14 @@ def _weight_strings(n: int, k: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _check_cap(width: int, cap: int) -> None:
-    if width > cap:
-        raise ValueError(f"{width} qubits exceed the dense cap of {cap}")
+def _check_cap(width: int) -> None:
+    if width > DENSE_CAP:
+        raise ValueError(f"{width} qubits exceed the dense cap of {DENSE_CAP}")
 
 
-def dense_z(k: int, n: int, cap: int = DENSE_CAP) -> DenseState:
+def dense_z(k: int, n: int) -> DenseState:
     """Amplitude 1 on every weight-k string of n qubits (C(n, k) entries)."""
-    _check_cap(n, cap)
+    _check_cap(n)
     if not 0 <= k <= n:
         raise ValueError(f"excitation count must lie in 0..{n}, got {k}")
     amps = {s: Fraction(1) for s in _weight_strings(n, k)}
@@ -81,8 +81,8 @@ def dense_basis(bits: str, label: str = "m") -> DenseState:
     return DenseState((RegisterId(label, len(bits)),), {bits: Fraction(1)})
 
 
-def to_dense(a: BlockSum, register_order: Optional[Sequence[RegisterId]] = None,
-             cap: int = DENSE_CAP) -> DenseState:
+def to_dense(a: BlockSum,
+             register_order: Optional[Sequence[RegisterId]] = None) -> DenseState:
     """Expand a block sum faithfully; linear in the coefficients.
 
     Tensor order follows the register order, which defaults to the sum's
@@ -97,7 +97,7 @@ def to_dense(a: BlockSum, register_order: Optional[Sequence[RegisterId]] = None,
         if sorted(regs) != sorted(canonical):
             raise ValueError(
                 "register_order must be a permutation of the sum's registers")
-    _check_cap(sum(r.width for r in regs), cap)
+    _check_cap(sum(r.width for r in regs))
     amps: dict[str, Fraction] = {}
     for coeff, prod in a.terms:
         per_register = [

@@ -1,8 +1,10 @@
 """Plan documents: a strict JSON schema shared by the CLI and golden tests.
 
-Documents round-trip losslessly, unknown fields are rejected, and exact
-fractions are encoded as {"num": ..., "den": ...} objects so no probability
-ever passes through floating point.
+A document describes a plan and nothing else: how to run it (say, with
+the dense oracle) is set on the command line.  Documents round-trip
+losslessly, unknown fields are rejected, and exact fractions are encoded
+as {"num": ..., "den": ...} objects so no probability ever passes through
+floating point.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ SCHEMA_VERSION = 1
 MODES = ("explicit", "exact", "incremental", "exponential")
 
 _TOP_KEYS = {"schema_version", "mode", "k", "target_n", "n1", "n2",
-             "inputs", "ancillas", "cycles", "verify_with_oracle", "dense_cap"}
+             "inputs", "ancillas", "cycles"}
 _GENERATOR_ONLY = {"exact": {"n1", "n2"}, "incremental": set(), "exponential": set()}
 
 
@@ -67,8 +69,6 @@ class PlanDocument:
     inputs: tuple[tuple[str, int, int], ...] = ()    # (id, k, n)
     ancillas: tuple[tuple[str, int, int], ...] = ()
     cycles: tuple[tuple[str, str, str], ...] = ()    # (left, right, produced)
-    verify_with_oracle: bool = False
-    dense_cap: Optional[int] = None
     schema_version: int = SCHEMA_VERSION
 
 
@@ -176,18 +176,8 @@ def parse_document(text: str) -> PlanDocument:
             n2 = _expect_int(obj, "n2", "document")
             if n1 + n2 != target_n:
                 raise DocumentError("target_n must equal n1 + n2 for mode 'exact'")
-
-    verify_flag = obj.get("verify_with_oracle", False)
-    if not isinstance(verify_flag, bool):
-        raise DocumentError("document.verify_with_oracle must be a boolean")
-    dense_cap = None
-    if "dense_cap" in obj:
-        dense_cap = _expect_int(obj, "dense_cap", "document")
-        if dense_cap < 1:
-            raise DocumentError("document.dense_cap must be positive")
     return PlanDocument(k=k, target_n=target_n, mode=mode, n1=n1, n2=n2,
                         inputs=inputs, ancillas=ancillas, cycles=cycles,
-                        verify_with_oracle=verify_flag, dense_cap=dense_cap,
                         schema_version=version)
 
 
@@ -208,10 +198,6 @@ def render_document(doc: PlanDocument) -> str:
                            for i, kk, nn in doc.ancillas]
         obj["cycles"] = [{"left": left, "right": right, "produced": produced}
                          for left, right, produced in doc.cycles]
-    if doc.verify_with_oracle:
-        obj["verify_with_oracle"] = True
-    if doc.dense_cap is not None:
-        obj["dense_cap"] = doc.dense_cap
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -244,8 +230,7 @@ def document_to_plan(doc: PlanDocument) -> ProtocolPlan:
                         (doc.k, doc.target_n))
 
 
-def plan_to_document(plan: ProtocolPlan, verify_with_oracle: bool = False,
-                     dense_cap: Optional[int] = None) -> PlanDocument:
+def plan_to_document(plan: ProtocolPlan) -> PlanDocument:
     """Serialize any plan as an explicit-mode document."""
     return PlanDocument(
         k=plan.k,
@@ -254,8 +239,6 @@ def plan_to_document(plan: ProtocolPlan, verify_with_oracle: bool = False,
         inputs=tuple((r.id, r.k, r.n) for r in plan.inputs),
         ancillas=tuple((r.id, r.k, r.n) for r in plan.ancillas),
         cycles=tuple((c.left, c.right, c.produced) for c in plan.cycles),
-        verify_with_oracle=verify_with_oracle,
-        dense_cap=dense_cap,
     )
 
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .blocks import BlockSum, RegisterId, z_state
+from .combinatorics import int_str
 from .distill import DistillationError, distill_step
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "PlanExecutionError",
     "validate_plan",
     "execute_plan",
-    "build_ledger",
     "plan_depth",
     "critical_path",
     "gen_exact_plan",
@@ -126,13 +126,20 @@ class _Resolved:
     violations: list[str]
 
 
+def _z(k: int, n: int) -> str:
+    return f"Z_{int_str(k)}({int_str(n)})"
+
+
 def _resolve(plan: ProtocolPlan) -> _Resolved:
+    """One pass over the plan; messages spell every integer with `int_str`,
+    since a product of two declared sizes can pass the `str` digit limit."""
     v: list[str] = []
     k = plan.k
     if k < 1:
-        v.append(f"plan k must be >= 1, got {k}")
+        v.append(f"plan k must be >= 1, got {int_str(k)}")
     if plan.target[0] != k:
-        v.append(f"target excitation count {plan.target[0]} != plan k {k}")
+        v.append(f"target excitation count {int_str(plan.target[0])} "
+                 f"!= plan k {int_str(k)}")
     refs: dict[str, StateRef] = {}
     for origin, declared in (("input", plan.inputs), ("ancilla", plan.ancillas)):
         for ref in declared:
@@ -142,7 +149,8 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
                 v.append(f"duplicate state id {ref.id!r}")
             refs[ref.id] = ref
             if ref.k != k:
-                v.append(f"state {ref.id!r} has k={ref.k}, plan k={k}")
+                v.append(f"state {ref.id!r} has k={int_str(ref.k)}, "
+                         f"plan k={int_str(k)}")
             if ref.n < 1:
                 v.append(f"state {ref.id!r} has no qubits")
     depth: dict[str, int] = {}
@@ -161,7 +169,7 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
                              f"ancilla, or earlier product")
                 continue
             if ref.n < 2 * k:
-                v.append(f"cycle {i}: {side} operand Z_{ref.k}({ref.n}) has n < 2k")
+                v.append(f"cycle {i}: {side} operand {_z(ref.k, ref.n)} has n < 2k")
             if op in consumed:
                 v.append(f"cycle {i}: {side} operand {op!r} already consumed")
             consumed.add(op)
@@ -181,8 +189,8 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
         producer[final.id] = cyc
     if plan.cycles:
         if final is not None and (final.k, final.n) != plan.target:
-            v.append(f"final product Z_{final.k}({final.n}) does not match target "
-                     f"Z_{plan.target[0]}({plan.target[1]})")
+            v.append(f"final product {_z(final.k, final.n)} does not match "
+                     f"target {_z(*plan.target)}")
     else:
         final = next((r for r in plan.inputs if (r.k, r.n) == plan.target), None)
         if final is None:
@@ -219,10 +227,6 @@ def _ledger(plan: ProtocolPlan, resolved: _Resolved) -> ResourceLedger:
         output_qubits=input_qubits + ancilla_qubits - consumed,
         depth=max(resolved.depth.values(), default=0),
     )
-
-
-def build_ledger(plan: ProtocolPlan) -> ResourceLedger:
-    return _ledger(plan, _resolve(plan))
 
 
 def plan_depth(plan: ProtocolPlan) -> int:

@@ -120,6 +120,50 @@ def test_run_with_oracle_flag(tmp_path, capsys):
     assert out.count("[oracle ok]") == 2
 
 
+def test_oracle_replays_only_cycles_within_the_dense_cap(tmp_path, capsys):
+    """Cycle 1 acts on 4 + 10 = 14 qubits; cycle 2 on 12 + 11 = 23, one
+    past the 22-qubit cap, so the dense expansion does not replay it."""
+    path = write_plan(tmp_path, capsys, "--mode", "exact", "--k", "1",
+                      "--n1", "10", "--n2", "11")
+    code, out, err = run_cli(capsys, "run", str(path), "--verify-with-oracle")
+    assert (code, err) == (0, "")
+    checked = [line for line in out.splitlines() if "[oracle ok]" in line]
+    assert len(checked) == 1 and checked[0].startswith("cycle 1:")
+
+
+def test_no_dense_cap_setting(tmp_path, capsys):
+    """The oracle's reach is fixed: neither a flag nor a document field sets it."""
+    path = write_plan(tmp_path, capsys, "--mode", "exact", "--k", "1",
+                      "--n1", "3", "--n2", "3")
+    code, _, err = run_cli(capsys, "run", str(path), "--dense-cap", "30")
+    assert code == 2 and "--dense-cap" in err
+    code, _, err = run_cli(capsys, "verify", "--dense-cap", "30")
+    assert code == 2 and "--dense-cap" in err
+    plan = json.loads(path.read_text())
+    for field, value in (("dense_cap", 30), ("verify_with_oracle", True)):
+        path.write_text(json.dumps({**plan, field: value}))
+        code, _, err = run_cli(capsys, "run", str(path))
+        assert code == 2 and f"unknown fields: ['{field}']" in err
+
+
+def test_violations_past_the_int_digit_limit(tmp_path, capsys):
+    """A plan whose product size is wider than `str(int)` allows is still
+    reported as invalid, one line per violation, without a traceback."""
+    n = 10 ** 4300 - 1
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "mode": "explicit", "k": 1, "target_n": 4,
+        "inputs": [{"id": "a", "k": 1, "n": n}, {"id": "b", "k": 1, "n": n}],
+        "ancillas": [],
+        "cycles": [{"left": "a", "right": "b", "produced": "out"}],
+    }))
+    for command in ("run", "graph"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            f"final product Z_1({Decimal(2 * n - 2)}) does not match target Z_1(4)"]
+
+
 def test_reports_past_the_int_digit_limit(tmp_path, capsys):
     """A cumulative probability wider than `str(int)` allows still prints
     exactly as text; the JSON report refuses it with exit 4."""

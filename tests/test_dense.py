@@ -42,9 +42,11 @@ def test_dense_z_small_cases():
 
 
 def test_dense_z_cap():
+    assert len(dense_z(1, DENSE_CAP).amplitudes) == DENSE_CAP
     with pytest.raises(ValueError):
         dense_z(1, DENSE_CAP + 1)
-    assert len(dense_z(1, DENSE_CAP + 1, cap=DENSE_CAP + 1).amplitudes) == 23
+    with pytest.raises(ValueError):
+        to_dense(z_state(1, DENSE_CAP + 1, "A"))
 
 
 # ---------------------------------------------------------------- to_dense

@@ -5,7 +5,8 @@ plandoc/graph -> cli -> __main__, and each may import only the layers
 before it.  The
 dense oracle and the verification sweeps sit beside protocol: they may use
 the layers below it (verify also uses dense), and of the core only cli may
-import them, so the engine never depends on its own checker.
+import them, so the engine never depends on its own checker.  The oracle's
+reach is one constant that dense owns; no function takes it as a setting.
 """
 
 import ast
@@ -29,10 +30,13 @@ def allowed_imports(module: str) -> set[str]:
     return below_protocol | set(ORACLE[:ORACLE.index(module)])
 
 
+def parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
 def relative_imports(module: str) -> set[str]:
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(parse(module)):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             found |= ({node.module.split(".")[0]} if node.module
                       else {alias.name for alias in node.names})
@@ -47,3 +51,19 @@ def test_every_module_has_a_place():
 @pytest.mark.parametrize("module", MODULES)
 def test_imports_follow_the_layers(module):
     assert relative_imports(module) <= allowed_imports(module)
+
+
+def test_dense_cap_is_one_constant_of_dense():
+    assigned, knobs = set(), []
+    for module in [*MODULES, "__init__"]:
+        for node in ast.walk(parse(module)):
+            if (isinstance(node, ast.Name) and node.id == "DENSE_CAP"
+                    and isinstance(node.ctx, ast.Store)):
+                assigned.add(module)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                knobs += [f"{module}.{getattr(node, 'name', '<lambda>')}({p.arg})"
+                          for p in params if p and p.arg in {"cap", "dense_cap"}]
+    assert assigned == {"dense"}
+    assert knobs == []

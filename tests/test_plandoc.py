@@ -30,8 +30,6 @@ def test_generator_mode_roundtrips():
         PlanDocument(k=1, target_n=6, mode="exact", n1=3, n2=3),
         PlanDocument(k=2, target_n=9, mode="incremental"),
         PlanDocument(k=1, target_n=10, mode="exponential"),
-        PlanDocument(k=1, target_n=10, mode="exponential",
-                     verify_with_oracle=True, dense_cap=16),
     ):
         assert roundtrip(doc) == doc
 
@@ -86,8 +84,11 @@ def test_unknown_nested_fields_rejected():
 def test_malformed_documents_rejected(mutation):
     base = json.loads(render_document(PlanDocument(k=1, target_n=6, mode="incremental")))
     base.update(mutation)
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError) as info:
         parse_document(json.dumps(base))
+    # A document carries no run settings: the oracle is a command line flag.
+    if set(mutation) & {"verify_with_oracle", "dense_cap"}:
+        assert "unknown fields" in str(info.value)
 
 
 @pytest.mark.parametrize("text", [
