@@ -12,13 +12,11 @@ no floating point anywhere in the computation path.
 """
 
 from .blocks import (
-    UNIT,
     ZERO,
     BlockProduct,
     BlockSum,
     RegisterId,
     ZBlock,
-    add,
     bit_flip,
     block_sum,
     format_block_sum,
@@ -27,7 +25,6 @@ from .blocks import (
     norm_sq,
     project_registers,
     registers_of,
-    scale,
     split_register,
     tensor,
     z_state,
@@ -36,7 +33,6 @@ from .combinatorics import binom, vandermonde_holds
 from .dense import (
     DENSE_CAP,
     DenseState,
-    dense_basis,
     dense_inner,
     dense_norm_sq,
     dense_project,
@@ -49,7 +45,6 @@ from .distill import (
     DistillationError,
     DistillOutcome,
     NotCollectibleError,
-    X0Spec,
     distill_step,
     success_probability,
     x0_alpha,
@@ -59,14 +54,11 @@ from .distill import (
 from .graph import plan_to_dot
 from .plandoc import (
     DocumentError,
-    PlanBuildError,
     PlanDocument,
     approx_decimal,
     document_to_plan,
-    frac_from_json,
     frac_to_json,
     parse_document,
-    plan_to_document,
     render_document,
 )
 from .protocol import (
@@ -83,7 +75,6 @@ from .protocol import (
     gen_exact_plan,
     gen_exponential_plan,
     gen_incremental_plan,
-    plan_depth,
     validate_plan,
 )
 

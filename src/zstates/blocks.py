@@ -24,12 +24,9 @@ __all__ = [
     "BlockProduct",
     "BlockSum",
     "block_sum",
-    "UNIT",
     "ZERO",
     "z_state",
     "registers_of",
-    "scale",
-    "add",
     "tensor",
     "inner_product",
     "norm_sq",
@@ -179,7 +176,6 @@ def block_sum(pairs: Iterable[tuple[CoeffLike, BlockProduct]]) -> BlockSum:
     return BlockSum(terms)
 
 
-UNIT = block_sum([(1, BlockProduct.of(()))])
 ZERO = block_sum([])
 
 
@@ -197,15 +193,6 @@ def z_state(k: int, n: int, reg: Union[RegisterId, str]) -> BlockSum:
 def registers_of(a: BlockSum) -> tuple[RegisterId, ...]:
     """Register set of the sum, in canonical label order (empty for zero sums)."""
     return a.terms[0][1].registers() if a.terms else ()
-
-
-def scale(a: BlockSum, c: CoeffLike) -> BlockSum:
-    c = Fraction(c)
-    return block_sum([(c * coeff, prod) for coeff, prod in a.terms])
-
-
-def add(a: BlockSum, b: BlockSum) -> BlockSum:
-    return block_sum([*a.terms, *b.terms])
 
 
 def _label_order(labels: list[str]) -> Optional[list[int]]:

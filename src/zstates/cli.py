@@ -20,7 +20,6 @@ from .dense import DENSE_CAP
 from .graph import plan_to_dot
 from .plandoc import (
     DocumentError,
-    PlanBuildError,
     PlanDocument,
     approx_decimal,
     document_to_plan,
@@ -171,7 +170,7 @@ def _load_plan(path_str: str):
         return EXIT_BAD_INPUT, None, [f"malformed plan document: {exc}"]
     try:
         plan = document_to_plan(doc)
-    except PlanBuildError as exc:
+    except InvalidPlanError as exc:
         return EXIT_INVALID_PLAN, None, exc.violations
     return EXIT_OK, plan, []
 
@@ -197,7 +196,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         doc = PlanDocument(k=args.k, target_n=args.n_target, mode=args.mode)
     try:
         document_to_plan(doc)
-    except PlanBuildError as exc:
+    except InvalidPlanError as exc:
         for message in exc.violations:
             print(message, file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -258,6 +257,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"--max-n {args.max_n} exceeds the dense cap {DENSE_CAP}",
               file=sys.stderr)
         return EXIT_BAD_INPUT
+    for flag, value, least in (("--max-n", args.max_n, 2),
+                               ("--max-k", args.max_k, 1)):
+        if value < least:
+            print(f"{flag} {value} is below {least}: the distillation and "
+                  f"selection sweeps would have no cells", file=sys.stderr)
+            return EXIT_BAD_INPUT
     results = run_verification(args.max_n, args.max_k, seed=args.seed,
                                corrupt_alpha=args.corrupt_alpha)
     failed = False

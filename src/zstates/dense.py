@@ -21,7 +21,6 @@ __all__ = [
     "DENSE_CAP",
     "DenseState",
     "dense_z",
-    "dense_basis",
     "to_dense",
     "dense_inner",
     "dense_norm_sq",
@@ -74,29 +73,12 @@ def dense_z(k: int, n: int) -> DenseState:
     return DenseState((RegisterId("q", n),), amps)
 
 
-def dense_basis(bits: str, label: str = "m") -> DenseState:
-    """Single computational basis string as a dense state."""
-    if any(c not in "01" for c in bits):
-        raise ValueError("basis string must consist of 0s and 1s")
-    return DenseState((RegisterId(label, len(bits)),), {bits: Fraction(1)})
-
-
-def to_dense(a: BlockSum,
-             register_order: Optional[Sequence[RegisterId]] = None) -> DenseState:
+def to_dense(a: BlockSum) -> DenseState:
     """Expand a block sum faithfully; linear in the coefficients.
 
-    Tensor order follows the register order, which defaults to the sum's
-    canonical label order but can be overridden with any permutation of its
-    registers.
+    Tensor order follows the sum's canonical label order.
     """
-    canonical = registers_of(a)
-    if register_order is None:
-        regs = canonical
-    else:
-        regs = tuple(register_order)
-        if sorted(regs) != sorted(canonical):
-            raise ValueError(
-                "register_order must be a permutation of the sum's registers")
+    regs = registers_of(a)
     _check_cap(sum(r.width for r in regs))
     amps: dict[str, Fraction] = {}
     for coeff, prod in a.terms:

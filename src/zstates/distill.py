@@ -30,7 +30,6 @@ from .combinatorics import binom
 __all__ = [
     "DistillationError",
     "NotCollectibleError",
-    "X0Spec",
     "DistillOutcome",
     "x0_alpha",
     "x0_beta_sq",
@@ -49,22 +48,6 @@ class NotCollectibleError(DistillationError):
 
 
 @dataclass(frozen=True)
-class X0Spec:
-    """Projection target data: weights alpha_j and squared normalization.
-
-    The default weights alpha_j = C(k, j)**-2 make every surviving summand
-    of the measured sector contribute with unit coefficient, which is what
-    lets the leftover state collect back into a single Z factor.  beta_sq is
-    the reciprocal of the unnormalized target's squared norm, so
-    norm_sq(target) * beta_sq == 1.
-    """
-
-    k: int
-    alpha: tuple[Fraction, ...]
-    beta_sq: Fraction
-
-
-@dataclass(frozen=True)
 class DistillOutcome:
     """Success branch of one distillation step."""
 
@@ -73,7 +56,12 @@ class DistillOutcome:
 
 
 def x0_alpha(k: int) -> tuple[Fraction, ...]:
-    """Default projection weights alpha_j = 1 / C(k, j)**2."""
+    """Default projection weights alpha_j = 1 / C(k, j)**2.
+
+    They make every surviving summand of the measured sector contribute
+    with unit coefficient, which is what lets the leftover state collect
+    back into a single Z factor.
+    """
     if k < 1:
         raise ValueError("projection target needs k >= 1")
     return tuple(Fraction(1, binom(k, j) ** 2) for j in range(k + 1))
@@ -91,15 +79,14 @@ def x0_beta_sq(k: int) -> Fraction:
 
 
 def x0_state(k: int, reg_a: RegisterId, reg_b: RegisterId,
-             alpha: Optional[Sequence[Fraction]] = None,
-             ) -> tuple[BlockSum, X0Spec]:
+             alpha: Optional[Sequence[Fraction]] = None) -> BlockSum:
     """Unnormalized projection target sum_j alpha_j Z_{k-j}(k) Z_j(k).
 
     Both registers must have width k.  The state lies entirely in the sector
     with k total excitations over the 2k qubits.  `alpha` overrides the
     default weights (useful to demonstrate that the default choice is what
-    makes collection work); the returned X0Spec always carries the
-    reciprocal of the actual squared norm.
+    makes collection work); weights that cancel to the zero state are
+    rejected.
     """
     if k < 1:
         raise ValueError("projection target needs k >= 1")
@@ -113,10 +100,9 @@ def x0_state(k: int, reg_a: RegisterId, reg_b: RegisterId,
     state = block_sum([
         (weights[j], BlockProduct.of((ZBlock(reg_a, k - j), ZBlock(reg_b, j))))
         for j in range(k + 1)])
-    squared_norm = norm_sq(state)
-    if squared_norm == 0:
+    if state.is_zero():
         raise ValueError("projection target must be nonzero")
-    return state, X0Spec(k, weights, 1 / squared_norm)
+    return state
 
 
 def success_probability(k: int, n1: int, n2: int) -> Fraction:
@@ -162,6 +148,9 @@ def distill_step(a: BlockSum, b: BlockSum,
     Each step consumes 2k qubits and post-selects the sector with k
     excitations across them.
 
+    The success probability is the Born weight of the projection,
+    norm_sq(post) / (norm_sq(target) * norm_sq(a) * norm_sq(b)).
+
     Raises NotCollectibleError when the leftover does not form a single Z
     factor, which happens exactly when `alpha` deviates from the default.
     """
@@ -181,13 +170,13 @@ def distill_step(a: BlockSum, b: BlockSum,
     joint = tensor(
         split_register(a, label_a, k, (sel_a, keep_a)),
         split_register(b, label_b, k, (sel_b, keep_b)))
-    target, spec = x0_state(k, RegisterId(sel_a, k), RegisterId(sel_b, k),
-                            alpha=alpha)
+    target = x0_state(k, RegisterId(sel_a, k), RegisterId(sel_b, k),
+                      alpha=alpha)
     leftover = project_registers(joint, target)
     merged_label = out_label if out_label is not None else f"{label_a}+{label_b}"
     post, collected = merge_registers(leftover, keep_a, keep_b, merged_label)
     if not collected:
         raise NotCollectibleError(
             "post-measurement state does not collect into a single Z factor")
-    probability = spec.beta_sq * norm_sq(post) / (norm_sq(a) * norm_sq(b))
+    probability = norm_sq(post) / (norm_sq(target) * norm_sq(a) * norm_sq(b))
     return DistillOutcome(post, probability)

@@ -17,6 +17,7 @@ from typing import Any, Optional
 
 from .protocol import (
     Cycle,
+    InvalidPlanError,
     ProtocolPlan,
     StateRef,
     gen_exact_plan,
@@ -28,14 +29,11 @@ __all__ = [
     "SCHEMA_VERSION",
     "MODES",
     "DocumentError",
-    "PlanBuildError",
     "PlanDocument",
     "parse_document",
     "render_document",
     "document_to_plan",
-    "plan_to_document",
     "frac_to_json",
-    "frac_from_json",
     "approx_decimal",
 ]
 
@@ -51,14 +49,6 @@ class DocumentError(ValueError):
     """The plan document is malformed."""
 
 
-class PlanBuildError(ValueError):
-    """The document was well-formed but does not describe a buildable plan."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
-
-
 @dataclass(frozen=True)
 class PlanDocument:
     k: int
@@ -69,7 +59,6 @@ class PlanDocument:
     inputs: tuple[tuple[str, int, int], ...] = ()    # (id, k, n)
     ancillas: tuple[tuple[str, int, int], ...] = ()
     cycles: tuple[tuple[str, str, str], ...] = ()    # (left, right, produced)
-    schema_version: int = SCHEMA_VERSION
 
 
 def _expect_int(obj: dict, key: str, where: str) -> int:
@@ -177,14 +166,13 @@ def parse_document(text: str) -> PlanDocument:
             if n1 + n2 != target_n:
                 raise DocumentError("target_n must equal n1 + n2 for mode 'exact'")
     return PlanDocument(k=k, target_n=target_n, mode=mode, n1=n1, n2=n2,
-                        inputs=inputs, ancillas=ancillas, cycles=cycles,
-                        schema_version=version)
+                        inputs=inputs, ancillas=ancillas, cycles=cycles)
 
 
 def render_document(doc: PlanDocument) -> str:
     """Stable JSON rendering; parse_document(render_document(d)) == d."""
     obj: dict[str, Any] = {
-        "schema_version": doc.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "mode": doc.mode,
         "k": doc.k,
         "target_n": doc.target_n,
@@ -205,60 +193,33 @@ def document_to_plan(doc: PlanDocument) -> ProtocolPlan:
     """Materialize the plan a document describes.
 
     Generator modes invoke the corresponding generator; precondition
-    violations surface as PlanBuildError.  Explicit mode copies the states
+    violations surface as InvalidPlanError.  Explicit mode copies the states
     and the cycles' id triples as they are; `validate_plan` reports ids
     that name no earlier state.
     """
-    if doc.mode == "exact":
-        try:
+    try:
+        if doc.mode == "exact":
             return gen_exact_plan(doc.k, doc.n1, doc.n2)
-        except ValueError as exc:
-            raise PlanBuildError([str(exc)]) from exc
-    if doc.mode == "incremental":
-        try:
+        if doc.mode == "incremental":
             return gen_incremental_plan(doc.k, doc.target_n)
-        except ValueError as exc:
-            raise PlanBuildError([str(exc)]) from exc
-    if doc.mode == "exponential":
-        try:
+        if doc.mode == "exponential":
             return gen_exponential_plan(doc.k, doc.target_n)
-        except ValueError as exc:
-            raise PlanBuildError([str(exc)]) from exc
+    except ValueError as exc:
+        raise InvalidPlanError([str(exc)]) from exc
     return ProtocolPlan(doc.k, tuple(StateRef(*s) for s in doc.inputs),
                         tuple(StateRef(*s) for s in doc.ancillas),
                         tuple(Cycle(*c) for c in doc.cycles),
                         (doc.k, doc.target_n))
 
 
-def plan_to_document(plan: ProtocolPlan) -> PlanDocument:
-    """Serialize any plan as an explicit-mode document."""
-    return PlanDocument(
-        k=plan.k,
-        target_n=plan.target[1],
-        mode="explicit",
-        inputs=tuple((r.id, r.k, r.n) for r in plan.inputs),
-        ancillas=tuple((r.id, r.k, r.n) for r in plan.ancillas),
-        cycles=tuple((c.left, c.right, c.produced) for c in plan.cycles),
-    )
-
-
 def frac_to_json(value: Fraction) -> dict[str, int]:
     return {"num": value.numerator, "den": value.denominator}
 
 
-def frac_from_json(obj: Any) -> Fraction:
-    if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
-        raise DocumentError("fractions must be {'num': ..., 'den': ...} objects")
-    num, den = obj["num"], obj["den"]
-    if type(num) is not int or type(den) is not int or den <= 0:
-        raise DocumentError("fraction parts must be integers with den > 0")
-    return Fraction(num, den)
-
-
-def approx_decimal(value: Fraction, digits: int = 6) -> str:
+def approx_decimal(value: Fraction) -> str:
     """Display-only decimal approximation: 6 significant digits, half-even."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 6
         ctx.rounding = ROUND_HALF_EVEN
         result = Decimal(value.numerator) / Decimal(value.denominator)
     return str(result)

@@ -31,7 +31,6 @@ __all__ = [
     "PlanExecutionError",
     "validate_plan",
     "execute_plan",
-    "plan_depth",
     "critical_path",
     "gen_exact_plan",
     "gen_incremental_plan",
@@ -101,6 +100,8 @@ class ExecutionReport:
 
 
 class InvalidPlanError(ValueError):
+    """A plan, or the document it is built from, describes no valid plan."""
+
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
@@ -227,11 +228,6 @@ def _ledger(plan: ProtocolPlan, resolved: _Resolved) -> ResourceLedger:
         output_qubits=input_qubits + ancilla_qubits - consumed,
         depth=max(resolved.depth.values(), default=0),
     )
-
-
-def plan_depth(plan: ProtocolPlan) -> int:
-    """Longest dependency chain of cycles (0 for a plan with none)."""
-    return max(_resolve(plan).depth.values(), default=0)
 
 
 def critical_path(plan: ProtocolPlan) -> list[int]:

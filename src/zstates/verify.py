@@ -163,7 +163,7 @@ def check_distillation_cell(k: int, n1: int, n2: int,
         raise ValueError("selection index out of range for its operand")
     joint = to_dense(tensor(a, b))
     qubits = [*sel_a, *(n1 + i for i in sel_b)]
-    target, _ = x0_state(k, RegisterId("XA", k), RegisterId("XB", k), alpha=alpha)
+    target = x0_state(k, RegisterId("XA", k), RegisterId("XB", k), alpha=alpha)
     remainder, weight = dense_project(joint, qubits, to_dense(target))
     ratio = proportionality(remainder, dense_z(k, n_out))
     if ratio is None or ratio <= 0:

@@ -9,6 +9,12 @@ from hypothesis import strategies as st
 from zstates import BlockProduct, RegisterId, ZBlock, block_sum
 
 
+def linear_combination(*scaled):
+    """Sum of c * s over the (c, s) pairs: one block_sum over all their terms."""
+    return block_sum([(Fraction(c) * coeff, prod)
+                      for c, s in scaled for coeff, prod in s.terms])
+
+
 @st.composite
 def block_sums(draw, max_registers: int = 2, max_width: int = 4,
                max_terms: int = 3, registers=None):

@@ -21,7 +21,6 @@ from zstates import (
     gen_exponential_plan,
     gen_incremental_plan,
     norm_sq,
-    plan_depth,
     critical_path,
     success_probability,
     validate_plan,
@@ -144,15 +143,16 @@ def test_07_exponential_schedule():
     plan = gen_exponential_plan(1, 10)
     if critical_path(plan) != [3, 4, 6, 10]:
         failures.append(f"path {critical_path(plan)}")
-    if plan_depth(plan) != 3:
-        failures.append(f"depth {plan_depth(plan)}")
+    depth = execute_plan(plan).ledger.depth
+    if depth != 3:
+        failures.append(f"depth {depth}")
     for k in (1, 2, 3):
         for m in range(5):
             span = 1 << m
-            p = gen_exponential_plan(k, 2 * k + span)
-            if plan_depth(p) != m:
-                failures.append(f"(k={k}, span={span}): depth {plan_depth(p)}")
-            if execute_plan(p).final.n != 2 * k + span:
+            report = execute_plan(gen_exponential_plan(k, 2 * k + span))
+            if report.ledger.depth != m:
+                failures.append(f"(k={k}, span={span}): depth {report.ledger.depth}")
+            if report.final.n != 2 * k + span:
                 failures.append(f"(k={k}, span={span}): wrong final size")
     _finish("exponential schedule and depth formula", failures)
 

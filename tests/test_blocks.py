@@ -5,15 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import block_sums
+from conftest import block_sums, linear_combination
 from zstates import (
-    UNIT,
     ZERO,
     BlockProduct,
     BlockSum,
     RegisterId,
     ZBlock,
-    add,
     binom,
     bit_flip,
     block_sum,
@@ -22,7 +20,6 @@ from zstates import (
     merge_registers,
     norm_sq,
     registers_of,
-    scale,
     split_register,
     tensor,
     z_state,
@@ -61,16 +58,17 @@ def test_tensor_single_terms():
 
 def test_tensor_with_unit_is_identity():
     a = tensor(z_state(1, 3, "A"), z_state(2, 4, "B"))
-    assert tensor(a, UNIT) == a
-    assert tensor(UNIT, a) == a
+    unit = block_sum([(1, BlockProduct.of(()))])
+    assert tensor(a, unit) == a
+    assert tensor(unit, a) == a
 
 
 def test_tensor_is_bilinear():
     x = z_state(1, 2, "A")
     y = z_state(2, 2, "A")
     z = z_state(1, 3, "B")
-    lhs = tensor(add(scale(x, Fraction(1, 2)), y), z)
-    rhs = add(scale(tensor(x, z), Fraction(1, 2)), tensor(y, z))
+    lhs = tensor(linear_combination((Fraction(1, 2), x), (1, y)), z)
+    rhs = linear_combination((Fraction(1, 2), tensor(x, z)), (1, tensor(y, z)))
     assert lhs == rhs
 
 
@@ -201,7 +199,7 @@ def test_merge_scaled_complete_pattern():
             ZBlock(RegisterId("B", n2 - k), k - j)))))
     merged, ok = merge_registers(block_sum(pairs), "A", "B", "out")
     assert ok
-    assert merged == scale(z_state(k, n1 + n2 - 2 * k, "out"), coeff)
+    assert merged == linear_combination((coeff, z_state(k, n1 + n2 - 2 * k, "out")))
 
 
 def test_merge_unknown_register():
@@ -232,7 +230,7 @@ def test_canonical_form_idempotent(a):
 def test_like_terms_merge_and_zeros_drop():
     prod = BlockProduct.of((ZBlock(RegisterId("q", 3), 1),))
     merged = block_sum([(1, prod), (2, prod)])
-    assert merged == scale(z_state(1, 3, "q"), 3)
+    assert merged == linear_combination((3, z_state(1, 3, "q")))
     assert block_sum([(1, prod), (-1, prod)]) == ZERO
     for s in (merged, block_sum([(5, prod)]), z_state(1, 3, "q")):
         assert all(type(coeff) is Fraction for coeff, _ in s.terms)
@@ -253,7 +251,7 @@ def test_product_key_ignores_construction_order():
 
 def test_mixed_register_sets_rejected():
     with pytest.raises(ValueError):
-        add(z_state(1, 3, "A"), z_state(1, 3, "B"))
+        linear_combination((1, z_state(1, 3, "A")), (1, z_state(1, 3, "B")))
 
 
 # ------------------------------------------------------------- formatting
@@ -263,5 +261,7 @@ def test_format_block_sum():
     assert format_block_sum(s) == ("1 * Z_0^a(1) ⊗ Z_1^b(2)\n"
                                    "1 * Z_1^a(1) ⊗ Z_0^b(2)")
     assert format_block_sum(ZERO) == "0"
-    assert format_block_sum(scale(UNIT, Fraction(3, 2))) == "3/2 * 1"
-    assert str(scale(z_state(1, 2, "A"), Fraction(1, 2))) == "1/2 * Z_1^A(2)"
+    unit = BlockProduct.of(())
+    assert format_block_sum(block_sum([(Fraction(3, 2), unit)])) == "3/2 * 1"
+    half = linear_combination((Fraction(1, 2), z_state(1, 2, "A")))
+    assert str(half) == "1/2 * Z_1^A(2)"

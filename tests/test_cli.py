@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from zstates.cli import main
-from zstates.plandoc import document_to_plan, frac_from_json, parse_document
+from zstates.plandoc import document_to_plan, parse_document
 from zstates.protocol import execute_plan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -81,8 +81,7 @@ def test_json_report_is_exact(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["final"] == {"id": "s3", "k": 1, "n": 6}
-    cumulative = frac_from_json(report["cumulative_probability"])
-    assert (cumulative.numerator, cumulative.denominator) == (1, 108)
+    assert report["cumulative_probability"] == {"num": 1, "den": 108}
     assert report["ledger"]["output_qubits"] == 6
 
     def no_floats(node):
@@ -253,6 +252,28 @@ def test_verify_small_bounds(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "6", "--max-k", "1")
     assert code == 0
     assert "composition: pass" in out
+
+
+@pytest.mark.parametrize("bounds", [
+    ("--max-n", "1"),
+    ("--max-k", "0"),
+    ("--max-n", "-5", "--max-k", "-2"),
+    ("--corrupt-alpha", "--max-n", "1"),
+])
+def test_verify_bounds_that_leave_sweeps_empty_exit_2(capsys, bounds):
+    """Below --max-n 2 or --max-k 1 the distillation and selection sweeps
+    have no cells, so a pass, or the negative control's fail, would be vacuous."""
+    code, out, err = run_cli(capsys, "verify", *bounds)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "no cells" in err
+
+
+def test_verify_least_bounds_give_every_sweep_cells(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "2", "--max-k", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 7
+    assert all(": pass (" in line and " (0 cells" not in line for line in lines)
 
 
 def test_verify_bounds_exceeding_cap_exit_2(capsys):

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import block_sums
+from conftest import block_sums, linear_combination
 from zstates import (
     DENSE_CAP,
     DenseState,
     RegisterId,
-    add,
     binom,
     bit_flip,
-    dense_basis,
     dense_inner,
     dense_norm_sq,
     dense_project,
@@ -24,13 +22,18 @@ from zstates import (
     project_registers,
     proportionality,
     registers_of,
-    scale,
     split_register,
     tensor,
     to_dense,
     x0_state,
     z_state,
 )
+
+
+def basis_state(bits: str) -> DenseState:
+    """One computational basis string, amplitude 1."""
+    return DenseState((RegisterId("m", len(bits)),), {bits: Fraction(1)})
+
 
 # ---------------------------------------------------------------- dense_z
 
@@ -56,7 +59,7 @@ def test_to_dense_single_block_matches_dense_z():
 
 
 def test_to_dense_is_linear_in_coefficients():
-    s = scale(z_state(1, 2, "A"), Fraction(1, 2))
+    s = linear_combination((Fraction(1, 2), z_state(1, 2, "A")))
     assert to_dense(s).amplitudes == {"10": Fraction(1, 2), "01": Fraction(1, 2)}
 
 
@@ -70,8 +73,7 @@ def test_to_dense_commutes_with_merge():
 
     for k, n, m in [(1, 3, 1), (2, 6, 3), (3, 7, 4)]:
         split = split_register(z_state(k, n, "q"), "q", m, ("qa", "qb"))
-        before = to_dense(split, register_order=(RegisterId("qa", m),
-                                                 RegisterId("qb", n - m)))
+        before = to_dense(split)
         merged, ok = merge_registers(split, "qa", "qb", "out")
         assert ok
         assert to_dense(merged).amplitudes == before.amplitudes
@@ -80,7 +82,7 @@ def test_to_dense_commutes_with_merge():
 def test_to_dense_commutes_with_tensor():
     from zstates import tensor
 
-    a = scale(z_state(1, 2, "A"), Fraction(1, 3))
+    a = linear_combination((Fraction(1, 3), z_state(1, 2, "A")))
     b = z_state(2, 3, "B")
     joint = to_dense(tensor(a, b))
     expected = {}
@@ -88,19 +90,6 @@ def test_to_dense_commutes_with_tensor():
         for sb, vb in to_dense(b).amplitudes.items():
             expected[sa + sb] = va * vb
     assert joint.amplitudes == expected
-
-
-def test_to_dense_register_order_controls_layout():
-    pair = tensor(z_state(1, 1, "A"), z_state(1, 2, "B"))
-    ra, rb = RegisterId("A", 1), RegisterId("B", 2)
-    default = to_dense(pair)
-    assert default.registers == (ra, rb)
-    swapped = to_dense(pair, register_order=(rb, ra))
-    assert swapped.registers == (rb, ra)
-    assert set(default.amplitudes) == {"110", "101"}
-    assert set(swapped.amplitudes) == {"101", "011"}
-    with pytest.raises(ValueError):
-        to_dense(pair, register_order=(ra,))
 
 
 # -------------------------------------------------------------- dense_inner
@@ -142,14 +131,14 @@ def test_bit_flip_agrees_with_dense_complement(a):
 def test_project_two_term_state():
     state = DenseState((RegisterId("p", 2),),
                        {"10": Fraction(1), "01": Fraction(1)})
-    remainder, weight = dense_project(state, [0], dense_basis("1"))
+    remainder, weight = dense_project(state, [0], basis_state("1"))
     assert remainder.amplitudes == {"0": Fraction(1)}
     assert weight == Fraction(1, 2)
 
 
 def test_project_distillation_example():
     joint = to_dense(tensor(z_state(1, 3, "A"), z_state(1, 3, "B")))
-    target, _ = x0_state(1, RegisterId("XA", 1), RegisterId("XB", 1))
+    target = x0_state(1, RegisterId("XA", 1), RegisterId("XB", 1))
     remainder, weight = dense_project(joint, [0, 3], to_dense(target))
     assert proportionality(remainder, dense_z(1, 4)) == 1
     assert weight == Fraction(2, 9)
@@ -157,7 +146,7 @@ def test_project_distillation_example():
 
 def test_project_orthogonal_target_gives_zero():
     state = to_dense(z_state(1, 3, "A"))
-    remainder, weight = dense_project(state, [0, 1], dense_basis("11"))
+    remainder, weight = dense_project(state, [0, 1], basis_state("11"))
     assert remainder.is_zero()
     assert weight == 0
 
@@ -165,15 +154,15 @@ def test_project_orthogonal_target_gives_zero():
 def test_project_errors():
     state = to_dense(z_state(1, 3, "A"))
     with pytest.raises(ValueError):
-        dense_project(state, [], dense_basis(""))
+        dense_project(state, [], basis_state(""))
     with pytest.raises(ValueError):
-        dense_project(DenseState((RegisterId("q", 2),), {}), [0], dense_basis("1"))
+        dense_project(DenseState((RegisterId("q", 2),), {}), [0], basis_state("1"))
     with pytest.raises(ValueError):
-        dense_project(state, [0, 0], dense_basis("11"))
+        dense_project(state, [0, 0], basis_state("11"))
     with pytest.raises(ValueError):
-        dense_project(state, [5], dense_basis("1"))
+        dense_project(state, [5], basis_state("1"))
     with pytest.raises(ValueError):
-        dense_project(state, [0, 1], dense_basis("1"))
+        dense_project(state, [0, 1], basis_state("1"))
 
 
 def test_born_rule_completeness_over_computational_basis():
@@ -182,15 +171,15 @@ def test_born_rule_completeness_over_computational_basis():
 
     states = [
         to_dense(z_state(2, 6, "q")),
-        to_dense(add(scale(z_state(1, 6, "q"), Fraction(1, 3)),
-                     scale(z_state(3, 6, "q"), 2))),
+        to_dense(linear_combination((Fraction(1, 3), z_state(1, 6, "q")),
+                                    (2, z_state(3, 6, "q")))),
     ]
     for state in states:
         for measured in (2, 3, 4):
             qubits = list(range(measured))
             total = Fraction(0)
             for bits in iproduct("01", repeat=measured):
-                target = dense_basis("".join(bits))
+                target = basis_state("".join(bits))
                 _, weight = dense_project(state, qubits, target)
                 total += weight
             assert total == 1
@@ -216,7 +205,7 @@ def test_project_registers_agrees_with_dense(data):
 # ---------------------------------------------------------- permute_qubits
 
 def test_permute_swap():
-    state = dense_basis("10")
+    state = basis_state("10")
     swapped = permute_qubits(state, [1, 0])
     assert swapped.amplitudes == {"01": Fraction(1)}
     assert permute_qubits(state, [0, 1]) == state
@@ -224,7 +213,7 @@ def test_permute_swap():
 
 def test_permute_rejects_non_bijection():
     with pytest.raises(ValueError):
-        permute_qubits(dense_basis("10"), [0, 0])
+        permute_qubits(basis_state("10"), [0, 0])
 
 
 def test_permutation_invariance_of_symmetric_sectors():

@@ -25,34 +25,39 @@ def _regs(k):
     return RegisterId("XA", k), RegisterId("XB", k)
 
 
+def _weights(target):
+    """The target's coefficient alpha_j, indexed by j, its XB excitation."""
+    by_j = {p.block_for("XB").excitations: c for c, p in target.terms}
+    return tuple(by_j[j] for j in sorted(by_j))
+
+
 # ------------------------------------------------------- projection target
 
 def test_x0_k1_is_the_symmetric_pair():
-    state, spec = x0_state(1, *_regs(1))
+    state = x0_state(1, *_regs(1))
     assert sorted(to_dense(state).amplitudes) == ["01", "10"]
-    assert spec.alpha == (Fraction(1), Fraction(1))
-    assert spec.beta_sq == Fraction(1, 2)
+    assert _weights(state) == (Fraction(1), Fraction(1))
+    assert x0_beta_sq(1) == Fraction(1, 2)
 
 
 def test_x0_k2_weights_and_norm():
-    state, spec = x0_state(2, *_regs(2))
-    assert spec.alpha == (Fraction(1), Fraction(1, 4), Fraction(1))
-    assert spec.beta_sq == Fraction(4, 9)
+    state = x0_state(2, *_regs(2))
+    assert _weights(state) == (Fraction(1), Fraction(1, 4), Fraction(1))
+    assert x0_beta_sq(2) == Fraction(4, 9)
     assert norm_sq(state) == Fraction(9, 4)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_x0_normalization_identity(k):
-    state, spec = x0_state(k, *_regs(k))
-    assert norm_sq(state) * spec.beta_sq == 1
-    assert spec.beta_sq == x0_beta_sq(k)
-    assert spec.alpha == x0_alpha(k)
+    state = x0_state(k, *_regs(k))
+    assert norm_sq(state) * x0_beta_sq(k) == 1
+    assert _weights(state) == x0_alpha(k)
     if 2 * k <= 14:
-        assert dense_norm_sq(to_dense(state)) * spec.beta_sq == 1
+        assert dense_norm_sq(to_dense(state)) * x0_beta_sq(k) == 1
 
 
 def test_x0_lies_in_the_k_sector():
-    state, _ = x0_state(3, *_regs(3))
+    state = x0_state(3, *_regs(3))
     assert all(s.count("1") == 3 for s in to_dense(state).amplitudes)
 
 
@@ -65,6 +70,8 @@ def test_x0_rejects_degenerate_inputs():
         x0_state(1, RegisterId("X", 1), RegisterId("X", 1))
     with pytest.raises(ValueError):
         x0_state(2, *_regs(2), alpha=[1, 1])
+    with pytest.raises(ValueError, match="nonzero"):
+        x0_state(2, *_regs(2), alpha=[0, 0, 0])
 
 
 # ------------------------------------------------------ success probability

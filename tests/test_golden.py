@@ -7,12 +7,13 @@ independent routes.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from zstates import critical_path, document_to_plan, execute_plan, validate_plan
-from zstates.plandoc import frac_from_json, parse_document
+from zstates.plandoc import parse_document
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN_DIR.iterdir() if p.is_dir())
@@ -40,11 +41,12 @@ def test_golden_case(name):
     assert report.final.k == expected["final"]["k"]
     assert report.final.n == expected["final"]["n"]
 
-    want_cycles = [frac_from_json(f) for f in expected["per_cycle_probabilities"]]
+    want_cycles = [Fraction(f["num"], f["den"])
+                   for f in expected["per_cycle_probabilities"]]
     assert [c.probability for c in report.cycles] == want_cycles
 
-    assert report.cumulative_success == frac_from_json(
-        expected["cumulative_probability"])
+    cumulative = expected["cumulative_probability"]
+    assert report.cumulative_success == Fraction(cumulative["num"], cumulative["den"])
 
     led = report.ledger
     want_ledger = expected["ledger"]

@@ -53,6 +53,43 @@ def test_imports_follow_the_layers(module):
     assert relative_imports(module) <= allowed_imports(module)
 
 
+def dunder_all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_all_entry_exists(module):
+    tree = parse(module)
+    assert set(dunder_all(tree)) <= top_level_names(tree)
+
+
+def test_package_reexports_only_listed_names():
+    unlisted = []
+    for node in parse("__init__").body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            listed = dunder_all(parse(node.module))
+            unlisted += [f"{node.module}.{alias.name}" for alias in node.names
+                         if alias.name not in listed]
+    assert unlisted == []
+
+
 def test_dense_cap_is_one_constant_of_dense():
     assigned, knobs = set(), []
     for module in [*MODULES, "__init__"]:

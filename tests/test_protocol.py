@@ -15,7 +15,6 @@ from zstates import (
     gen_exact_plan,
     gen_exponential_plan,
     gen_incremental_plan,
-    plan_depth,
     success_probability,
     validate_plan,
     z_state,
@@ -215,15 +214,16 @@ def test_incremental_k2_example():
 def test_exponential_w10_path():
     plan = gen_exponential_plan(1, 10)
     assert critical_path(plan) == [3, 4, 6, 10]
-    assert plan_depth(plan) == 3
     assert len(plan.cycles) == 7
-    assert execute_plan(plan).final_state == z_state(1, 10, plan.cycles[-1].produced)
+    report = execute_plan(plan)
+    assert report.ledger.depth == 3
+    assert report.final_state == z_state(1, 10, plan.cycles[-1].produced)
 
 
 def test_exponential_first_step_matches_incremental():
     plan = gen_exponential_plan(1, 4)
     assert len(plan.cycles) == 1
-    assert plan_depth(plan) == 1
+    assert execute_plan(plan).ledger.depth == 1
 
 
 def test_exponential_k2_path():
@@ -237,9 +237,10 @@ def test_exponential_depth_formula():
             span = n - 2 * k
             plan = gen_exponential_plan(k, n)
             top = 1 << (span.bit_length() - 1)
-            assert plan_depth(plan) == (span.bit_length() - 1) + (span - top)
             assert validate_plan(plan) == []
-            assert execute_plan(plan).final.n == n
+            report = execute_plan(plan)
+            assert report.ledger.depth == (span.bit_length() - 1) + (span - top)
+            assert report.final.n == n
 
 
 def test_exponential_power_of_two_spans_are_pure_doubling():
@@ -247,7 +248,7 @@ def test_exponential_power_of_two_spans_are_pure_doubling():
         for m in range(5):
             span = 1 << m
             plan = gen_exponential_plan(k, 2 * k + span)
-            assert plan_depth(plan) == m
+            assert execute_plan(plan).ledger.depth == m
             assert len(plan.cycles) == span - 1
 
 
