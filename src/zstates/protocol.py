@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .blocks import BlockSum, RegisterId, z_state
 from .combinatorics import int_str
-from .distill import DistillationError, distill_step
+from .distill import DistillationError, DistillOutcome, distill_step
 
 __all__ = [
     "StateRef",
@@ -37,9 +37,10 @@ __all__ = [
     "gen_exponential_plan",
 ]
 
-# oracle(k, n1, n2): the problems found replaying one step on Z_k(n1), Z_k(n2)
-# (empty when it agrees), or None when the step is beyond the oracle's reach.
-Oracle = Callable[[int, int, int], Optional[list[str]]]
+# oracle(k, n1, n2, outcome): the problems it finds in the outcome of one step
+# on Z_k(n1), Z_k(n2) (empty when it agrees), or None beyond its reach.  The
+# class is named by a string so that typing's cache holds no package class.
+Oracle = Callable[[int, int, int, "DistillOutcome"], Optional[list[str]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,9 +255,10 @@ def execute_plan(plan: ProtocolPlan,
     """Run every cycle in order, symbolically, with exact probabilities.
 
     Raises InvalidPlanError, listing every violation, for a plan that does
-    not validate.  With an `oracle`, each cycle is also replayed on it: a
-    cycle it reports problems for fails, one it returns None for (beyond
-    its reach) stays unchecked.  Errors name the failing cycle index.
+    not validate.  With an `oracle`, each cycle's own outcome is also
+    checked by it, so each cycle is still derived once: a cycle it reports
+    problems for fails, one it returns None for (beyond its reach) stays
+    unchecked.  Errors name the failing cycle index.
     """
     resolved = _resolve_valid(plan)
     refs = resolved.refs
@@ -272,7 +274,7 @@ def execute_plan(plan: ProtocolPlan,
                                    out_label=cyc.produced)
         except (ValueError, DistillationError) as exc:
             raise PlanExecutionError(i, str(exc)) from exc
-        problems = None if oracle is None else oracle(plan.k, left.n, right.n)
+        problems = None if oracle is None else oracle(plan.k, left.n, right.n, outcome)
         if problems:
             raise PlanExecutionError(
                 i, "oracle disagreement: " + "; ".join(problems))

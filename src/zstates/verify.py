@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .blocks import (
     RegisterId,
@@ -33,6 +33,7 @@ from .dense import (
     to_dense,
 )
 from .distill import (
+    DistillOutcome,
     NotCollectibleError,
     distill_step,
     success_probability,
@@ -55,6 +56,9 @@ __all__ = [
 ]
 
 _FLIP = str.maketrans("01", "10")
+PERMUTATION_SAMPLES = 50  # random qubit permutations per Z_k(N)
+SELECTION_SAMPLES = 10  # random measured-qubit selections per distillation cell
+Selection = tuple[Sequence[int], Sequence[int]]  # indexes within each operand
 
 
 @dataclass
@@ -68,7 +72,7 @@ class SweepResult:
         return not self.failures
 
 
-def sweep_vandermonde(max_n: int = 20) -> SweepResult:
+def sweep_vandermonde(max_n: int) -> SweepResult:
     """The convolution identity, exhaustively over N <= max_n."""
     res = SweepResult("vandermonde")
     for n in range(max_n + 1):
@@ -80,7 +84,7 @@ def sweep_vandermonde(max_n: int = 20) -> SweepResult:
     return res
 
 
-def sweep_norms(max_symbolic_n: int = 16, max_dense_n: int = 14) -> SweepResult:
+def sweep_norms(max_symbolic_n: int, max_dense_n: int) -> SweepResult:
     """norm_sq(Z_k(N)) == C(N, k), symbolically and on the dense expansion."""
     res = SweepResult("norm")
     for n in range(max_symbolic_n + 1):
@@ -103,7 +107,7 @@ def composition_cell_matches(k: int, n: int, m: int) -> bool:
     return to_dense(split).amplitudes == dense_z(k, n).amplitudes
 
 
-def sweep_composition(max_n: int = 12) -> SweepResult:
+def sweep_composition(max_n: int) -> SweepResult:
     res = SweepResult("composition")
     for n in range(min(max_n, DENSE_CAP) + 1):
         for k in range(n + 1):
@@ -115,80 +119,89 @@ def sweep_composition(max_n: int = 12) -> SweepResult:
 
 
 def distillation_cells(max_k: int, max_operand_n: int, max_total_n: int):
+    """Totals stop at the dense cap as well, so the oracle replays every cell."""
     for k in range(1, max_k + 1):
         for n1 in range(2 * k, max_operand_n + 1):
             for n2 in range(2 * k, max_operand_n + 1):
-                if n1 + n2 <= max_total_n:
+                if n1 + n2 <= min(max_total_n, DENSE_CAP):
                     yield k, n1, n2
 
 
-def check_distillation_cell(k: int, n1: int, n2: int,
-                            selection: Optional[tuple[Sequence[int], Sequence[int]]] = None,
-                            unit_alpha: bool = False) -> Optional[list[str]]:
-    """Replay one distillation step against the dense oracle.
+def check_distillation_cell(k: int, n1: int, n2: int, outcome: DistillOutcome,
+                            selections: Optional[Iterable[Selection]] = None
+                            ) -> Optional[list[str]]:
+    """Check the outcome of one distillation step on Z_k(n1), Z_k(n2).
 
-    Checks that the symbolic post state is a single Z_k(n1+n2-2k) factor,
-    that the brute-force projection remainder is proportional to the same
-    dense state, and that the oracle weight equals both the symbolic and the
-    closed-form probability.  Returns failure descriptions (empty = agree),
-    or None for a cell that passes the symbolic check but whose n1 + n2
-    qubits lie beyond the dense cap, so it is `execute_plan`'s oracle as is.
-    `selection` names the k measured qubits of each operand for the dense
-    replay (default: the first k of each).
-    With unit_alpha the projection weights are all forced to 1 instead of
-    the proper choice, the negative control.
+    Its post state must be a single Z_k(n1+n2-2k) factor; on the dense
+    expansion the projection remainder must be proportional to that state,
+    with an oracle weight equal to the outcome's probability and to the
+    closed form.  Returns the failures (empty = agree), or None for a cell
+    that passes the symbolic check but lies beyond the dense cap, so it is
+    `execute_plan`'s oracle as is.  The expansions are built once, then
+    projected for each of `selections` (the k measured qubits of each
+    operand; default: the first k of each) up to the first that disagrees.
     """
     where = f"(k={k}, N1={n1}, N2={n2})"
-    alpha = (Fraction(1),) * (k + 1) if unit_alpha else None
-    a = z_state(k, n1, RegisterId("A", n1))
-    b = z_state(k, n2, RegisterId("B", n2))
     n_out = n1 + n2 - 2 * k
-    try:
-        outcome = distill_step(a, b, alpha=alpha)
-    except NotCollectibleError:
-        return [f"{where}: post state does not collect to a single Z factor"]
     failures = []
-    post = outcome.post_state
-    single = len(post.terms) == 1 and len(post.terms[0][1].blocks) == 1
-    if single:
-        coeff, prod = post.terms[0]
-        blk = prod.blocks[0]
-        single = coeff > 0 and blk.excitations == k and blk.register.width == n_out
-    if not single:
+    terms = outcome.post_state.terms
+    blocks = terms[0][1].blocks if len(terms) == 1 else ()
+    if not (len(blocks) == 1 and terms[0][0] > 0
+            and (blocks[0].excitations, blocks[0].register.width) == (k, n_out)):
         failures.append(f"{where}: symbolic post state is not a single Z_{k}({n_out})")
     if n1 + n2 > DENSE_CAP:
         return failures or None
-    sel_a, sel_b = selection if selection is not None else (range(k), range(k))
-    if any(not 0 <= i < n for sel, n in ((sel_a, n1), (sel_b, n2)) for i in sel):
-        raise ValueError("selection index out of range for its operand")
-    joint = to_dense(tensor(a, b))
-    qubits = [*sel_a, *(n1 + i for i in sel_b)]
-    target = x0_state(k, RegisterId("XA", k), RegisterId("XB", k), alpha=alpha)
-    remainder, weight = dense_project(joint, qubits, to_dense(target))
-    ratio = proportionality(remainder, dense_z(k, n_out))
-    if ratio is None or ratio <= 0:
-        failures.append(
-            f"{where}: dense remainder is not proportional to Z_{k}({n_out})")
-    if weight != outcome.success_probability:
-        failures.append(f"{where}: oracle weight {weight} != symbolic "
-                        f"probability {outcome.success_probability}")
-    if not unit_alpha and weight != success_probability(k, n1, n2):
-        failures.append(f"{where}: oracle weight {weight} != closed form "
-                        f"{success_probability(k, n1, n2)}")
+    joint = to_dense(tensor(z_state(k, n1, RegisterId("A", n1)),
+                            z_state(k, n2, RegisterId("B", n2))))
+    target = to_dense(x0_state(k, RegisterId("XA", k), RegisterId("XB", k)))
+    z_out = dense_z(k, n_out)
+    for sel_a, sel_b in selections or [(range(k), range(k))]:
+        if any(not 0 <= i < n for sel, n in ((sel_a, n1), (sel_b, n2)) for i in sel):
+            raise ValueError("selection index out of range for its operand")
+        qubits = [*sel_a, *(n1 + i for i in sel_b)]
+        remainder, weight = dense_project(joint, qubits, target)
+        problems = []
+        ratio = proportionality(remainder, z_out)
+        if ratio is None or ratio <= 0:
+            problems.append(
+                f"{where}: dense remainder is not proportional to Z_{k}({n_out})")
+        if weight != outcome.success_probability:
+            problems.append(f"{where}: oracle weight {weight} != symbolic "
+                            f"probability {outcome.success_probability}")
+        if weight != success_probability(k, n1, n2):
+            problems.append(f"{where}: oracle weight {weight} != closed form "
+                            f"{success_probability(k, n1, n2)}")
+        if problems:
+            failures += ([f"selection={sel_a, sel_b}: " + "; ".join(problems)]
+                         if selections else problems)
+            break
     return failures
 
 
-def sweep_distillation(max_k: int = 3, max_operand_n: int = 8,
-                       max_total_n: int = 14, unit_alpha: bool = False) -> SweepResult:
+def _derive_and_check(k: int, n1: int, n2: int, alpha, selections) -> list[str]:
+    """Distill fresh operands once and check the outcome."""
+    try:
+        outcome = distill_step(z_state(k, n1, RegisterId("A", n1)),
+                               z_state(k, n2, RegisterId("B", n2)), alpha)
+    except NotCollectibleError:
+        return [f"(k={k}, N1={n1}, N2={n2}): post state does not collect to a "
+                f"single Z factor"]
+    return check_distillation_cell(k, n1, n2, outcome, selections) or []
+
+
+def sweep_distillation(max_k: int, max_operand_n: int, max_total_n: int,
+                       corrupt_alpha: bool) -> SweepResult:
+    """With corrupt_alpha each step is derived with unit projection weights,
+    the negative control: from k = 2 on its post state does not collect."""
     res = SweepResult("distillation")
     for k, n1, n2 in distillation_cells(max_k, max_operand_n, max_total_n):
         res.cells += 1
-        res.failures.extend(
-            check_distillation_cell(k, n1, n2, unit_alpha=unit_alpha) or ())
+        alpha = (Fraction(1),) * (k + 1) if corrupt_alpha else None
+        res.failures.extend(_derive_and_check(k, n1, n2, alpha, None))
     return res
 
 
-def sweep_bit_flip(max_n: int = 12) -> SweepResult:
+def sweep_bit_flip(max_n: int) -> SweepResult:
     """Exchanging 0s and 1s maps Z_k(N) to Z_{N-k}(N), densely verified."""
     res = SweepResult("bit-flip")
     for n in range(min(max_n, DENSE_CAP) + 1):
@@ -206,16 +219,15 @@ def sweep_bit_flip(max_n: int = 12) -> SweepResult:
     return res
 
 
-def sweep_permutations(max_n: int = 10, samples: int = 50,
-                       seed: int = 0) -> SweepResult:
-    """Full permutation symmetry of every dense Z_k(N) sector."""
+def sweep_permutations(max_n: int, seed: int) -> SweepResult:
+    """Full permutation symmetry of the dense expansion of every Z_k(N)."""
     res = SweepResult("permutation")
     rng = random.Random(seed)
     for n in range(1, min(max_n, DENSE_CAP) + 1):
         for k in range(n + 1):
             res.cells += 1
-            state = dense_z(k, n)
-            for _ in range(samples):
+            state = to_dense(z_state(k, n, "q"))
+            for _ in range(PERMUTATION_SAMPLES):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 if permute_qubits(state, perm).amplitudes != state.amplitudes:
@@ -224,34 +236,30 @@ def sweep_permutations(max_n: int = 10, samples: int = 50,
     return res
 
 
-def sweep_selections(max_k: int = 3, max_operand_n: int = 8, max_total_n: int = 14,
-                     samples: int = 10, seed: int = 0) -> SweepResult:
+def sweep_selections(max_k: int, max_operand_n: int, max_total_n: int,
+                     seed: int) -> SweepResult:
     """Distillation outcome is the same for any choice of measured qubits."""
     res = SweepResult("selection")
     rng = random.Random(seed)
     for k, n1, n2 in distillation_cells(max_k, max_operand_n, max_total_n):
         res.cells += 1
-        for _ in range(samples):
-            selection = (tuple(rng.sample(range(n1), k)),
-                         tuple(rng.sample(range(n2), k)))
-            problems = check_distillation_cell(k, n1, n2, selection=selection)
-            if problems:
-                res.failures.append(
-                    f"selection={selection}: " + "; ".join(problems))
-                break
+        selections = ((tuple(rng.sample(range(n1), k)),
+                       tuple(rng.sample(range(n2), k)))
+                      for _ in range(SELECTION_SAMPLES))
+        res.failures.extend(_derive_and_check(k, n1, n2, None, selections))
     return res
 
 
-def run_verification(max_n: int = 12, max_k: int = 3, seed: int = 0,
-                     corrupt_alpha: bool = False) -> list[SweepResult]:
-    """Run every sweep; bounds scale from max_n so the defaults reproduce the
-    advertised ranges (composition to max_n, norms to max_n+4 symbolically and
-    max_n+2 densely, distillation operands to max_n-4 with totals to max_n+2,
-    permutations to max_n-2).
+def run_verification(max_n: int, max_k: int, seed: int,
+                     corrupt_alpha: bool) -> list[SweepResult]:
+    """Run every sweep; bounds scale from max_n so the command line defaults
+    reproduce the advertised ranges (composition to max_n, norms to max_n+4
+    symbolically and max_n+2 densely, distillation operands to max_n-4 with
+    totals to max_n+2, clipped at the dense cap, permutations to max_n-2).
 
-    With corrupt_alpha the distillation sweep runs with unit projection
-    weights instead of the proper choice and is expected to fail; it is the
-    debug switch demonstrating that the weight choice matters.
+    With corrupt_alpha the distillation sweep derives each step with unit
+    projection weights instead of the proper choice and is expected to fail;
+    it is the debug switch demonstrating that the weight choice matters.
     """
     operand_cap = max(max_n - 4, 2)
     total_cap = max_n + 2
@@ -259,8 +267,8 @@ def run_verification(max_n: int = 12, max_k: int = 3, seed: int = 0,
         sweep_vandermonde(max(max_n, 20)),
         sweep_norms(max_n + 4, max_n + 2),
         sweep_composition(max_n),
-        sweep_distillation(max_k, operand_cap, total_cap, unit_alpha=corrupt_alpha),
+        sweep_distillation(max_k, operand_cap, total_cap, corrupt_alpha),
         sweep_bit_flip(max_n),
-        sweep_permutations(max(max_n - 2, 1), 50, seed=seed),
-        sweep_selections(max_k, operand_cap, total_cap, 10, seed=seed),
+        sweep_permutations(max(max_n - 2, 1), seed),
+        sweep_selections(max_k, operand_cap, total_cap, seed),
     ]

@@ -6,13 +6,19 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from zstates import BlockProduct, RegisterId, ZBlock, block_sum
+from zstates import BlockProduct, RegisterId, ZBlock, block_sum, distill_step, z_state
 
 
 def linear_combination(*scaled):
     """Sum of c * s over the (c, s) pairs: one block_sum over all their terms."""
     return block_sum([(Fraction(c) * coeff, prod)
                       for c, s in scaled for coeff, prod in s.terms])
+
+
+def fresh_outcome(k, n1, n2):
+    """The outcome of one distillation step on fresh Z_k(n1), Z_k(n2)."""
+    return distill_step(z_state(k, n1, RegisterId("A", n1)),
+                        z_state(k, n2, RegisterId("B", n2)))
 
 
 @st.composite

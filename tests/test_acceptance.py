@@ -9,6 +9,7 @@ lines as they complete.
 import json
 from fractions import Fraction
 
+from conftest import fresh_outcome
 from zstates import (
     NotCollectibleError,
     RegisterId,
@@ -23,9 +24,11 @@ from zstates import (
     norm_sq,
     critical_path,
     success_probability,
+    tensor,
     validate_plan,
     z_state,
 )
+import zstates.verify
 from zstates.cli import main
 from zstates.plandoc import parse_document
 from zstates.verify import (
@@ -33,6 +36,7 @@ from zstates.verify import (
     composition_cell_matches,
     distillation_cells,
     sweep_bit_flip,
+    sweep_distillation,
     sweep_permutations,
     sweep_selections,
 )
@@ -79,7 +83,7 @@ def test_03_distillation_sweep():
     cells = 0
     for k, n1, n2 in distillation_cells(3, 8, 14):
         cells += 1
-        failures.extend(check_distillation_cell(k, n1, n2))
+        failures.extend(check_distillation_cell(k, n1, n2, fresh_outcome(k, n1, n2)))
     assert cells == 74
     _finish("distillation sweep, k <= 3, operands <= 8, totals <= 14", failures)
 
@@ -93,13 +97,13 @@ def test_04_one_excitation_example_numbers():
         failures.append("3+3 post state is not Z_1(4)")
     if out.success_probability != Fraction(2, 9):
         failures.append(f"3+3 probability {out.success_probability} != 2/9")
-    failures.extend(check_distillation_cell(1, 3, 3))
+    failures.extend(check_distillation_cell(1, 3, 3, out))
 
     out = distill_step(z_state(2, 5, RegisterId("A", 5)),
                        z_state(2, 5, RegisterId("B", 5)))
     if out.success_probability != Fraction(1, 15):
         failures.append(f"5+5 probability {out.success_probability} != 1/15")
-    failures.extend(check_distillation_cell(2, 5, 5))
+    failures.extend(check_distillation_cell(2, 5, 5, out))
     _finish("example probabilities 2/9 and 1/15", failures)
 
 
@@ -162,26 +166,22 @@ def test_08_symmetry_suite():
     and 10 random qubit selections per distillation tuple."""
     failures = []
     failures.extend(sweep_bit_flip(12).failures)
-    failures.extend(sweep_permutations(10, 50, seed=SEED).failures)
-    failures.extend(
-        sweep_selections(3, 8, 14, samples=10, seed=SEED).failures)
+    failures.extend(sweep_permutations(10, SEED).failures)
+    failures.extend(sweep_selections(3, 8, 14, SEED).failures)
     _finish("symmetry suite (bit-flip, permutations, selections)", failures)
 
 
 def test_09_unit_weight_negative_control():
-    """Forcing unit projection weights must break collection somewhere
-    (and does, for every tuple with k >= 2)."""
+    """Forcing unit projection weights must break collection for every
+    tuple with k >= 2, and only there: at k = 1 they are the proper weights."""
     failures = []
-    broke = []
-    for k, n1, n2 in distillation_cells(3, 8, 14):
-        problems = check_distillation_cell(k, n1, n2, unit_alpha=True)
-        if problems:
-            broke.append((k, n1, n2))
-            if k == 1:
-                failures.append(f"unexpected failure at k=1: {problems[0]}")
-    if not broke:
-        failures.append("unit weights never failed to collect")
-    if (2, 5, 5) not in broke:
+    res = sweep_distillation(3, 8, 14, True)
+    expected = [f"(k={k}, N1={n1}, N2={n2}): post state does not collect to a "
+                f"single Z factor" for k, n1, n2 in distillation_cells(3, 8, 14)
+                if k >= 2]
+    if res.cells != 74 or res.failures != expected:
+        failures.append(f"{res.cells} cells, failures {res.failures[:3]}")
+    if not any(f.startswith("(k=2, N1=5, N2=5)") for f in res.failures):
         failures.append("(k=2, 5, 5) did not fail as predicted")
     try:
         distill_step(z_state(2, 5, RegisterId("A", 5)),
@@ -233,3 +233,18 @@ def test_10_cli_round_trips(tmp_path, capsys):
     if code != 0:
         failures.append(f"default verification exited {code}: {verify_out}")
     _finish("CLI round trips and default verification", failures)
+
+
+def test_11_permutation_negative_control(monkeypatch):
+    """The permutation sweep expands the engine's own Z_k(N): a state that is
+    not symmetric must fail it, with the same cell count."""
+    def lopsided(k, n, label):  # |10...0>, whatever k is
+        if n < 2:
+            return z_state(k, n, label)
+        return tensor(z_state(1, 1, RegisterId("a", 1)),
+                      z_state(0, n - 1, RegisterId("b", n - 1)))
+
+    monkeypatch.setattr(zstates.verify, "z_state", lopsided)
+    res = sweep_permutations(4, SEED)
+    failures = [] if res.failures and res.cells == 14 else [f"{res}"]
+    _finish("asymmetric state fails the permutation sweep", failures)

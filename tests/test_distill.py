@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import fresh_outcome
 from zstates import (
+    DENSE_CAP,
+    DistillOutcome,
     NotCollectibleError,
     RegisterId,
     dense_norm_sq,
@@ -84,7 +87,7 @@ def test_x0_rejects_degenerate_inputs():
 def test_success_probability_frozen_values(k, n1, n2, expected):
     """Values frozen from the dense oracle; the cell check recomputes them."""
     assert success_probability(k, n1, n2) == expected
-    assert check_distillation_cell(k, n1, n2) == []
+    assert check_distillation_cell(k, n1, n2, fresh_outcome(k, n1, n2)) == []
 
 
 def test_success_probability_domain():
@@ -159,18 +162,45 @@ def test_unit_weights_coincide_with_default_at_k1():
 
 def test_small_sweep_against_oracle():
     for k, n1, n2 in distillation_cells(2, 6, 12):
-        assert check_distillation_cell(k, n1, n2) == [], (k, n1, n2)
+        outcome = fresh_outcome(k, n1, n2)
+        assert check_distillation_cell(k, n1, n2, outcome) == [], (k, n1, n2)
+
+
+def test_distillation_cells_stay_in_the_oracle_reach():
+    """Totals past the dense cap are not swept: a cell the oracle cannot
+    replay would count as a pass."""
+    cells = list(distillation_cells(3, 18, 24))
+    assert len(cells) == 370
+    assert all(n1 + n2 <= DENSE_CAP for _, n1, n2 in cells)
+
+
+def test_cell_check_reads_the_outcome_it_is_given():
+    good = fresh_outcome(1, 3, 3)
+    tampered = DistillOutcome(good.post_state, Fraction(1, 3))
+    assert check_distillation_cell(1, 3, 3, tampered) == [
+        "(k=1, N1=3, N2=3): oracle weight 2/9 != symbolic probability 1/3"]
+    too_wide = DistillOutcome(z_state(1, 5, "A+B"), good.success_probability)
+    assert check_distillation_cell(1, 3, 3, too_wide) == [
+        "(k=1, N1=3, N2=3): symbolic post state is not a single Z_1(4)"]
+    # Past the dense cap the post state is still checked.
+    past = fresh_outcome(1, 12, 11)
+    assert check_distillation_cell(1, 12, 11, past) is None
+    assert check_distillation_cell(
+        1, 12, 11, DistillOutcome(z_state(1, 22, "o"), past.success_probability))
 
 
 def test_selection_invariance_spot_checks():
     rng = random.Random(11)
     for k, n1, n2 in [(1, 3, 5), (2, 4, 6), (3, 6, 7)]:
-        for _ in range(5):
-            selection = (tuple(rng.sample(range(n1), k)),
-                         tuple(rng.sample(range(n2), k)))
-            assert check_distillation_cell(k, n1, n2, selection=selection) == []
+        selections = [(tuple(rng.sample(range(n1), k)),
+                       tuple(rng.sample(range(n2), k))) for _ in range(5)]
+        outcome = fresh_outcome(k, n1, n2)
+        assert check_distillation_cell(k, n1, n2, outcome, selections) == []
 
 
 def test_selection_indexes_its_own_operand():
+    """Qubit 3 of the first operand is out of range, not the second's qubit 0;
+    it is found after an agreeing selection, so every selection is read."""
     with pytest.raises(ValueError):
-        check_distillation_cell(1, 3, 3, selection=((3,), (0,)))
+        check_distillation_cell(1, 3, 3, fresh_outcome(1, 3, 3),
+                                [((0,), (0,)), ((3,), (0,))])

@@ -7,14 +7,21 @@ dense oracle and the verification sweeps sit beside protocol: they may use
 the layers below it (verify also uses dense), and of the core only cli may
 import them, so the engine never depends on its own checker.  The oracle's
 reach is one constant that dense owns; no function takes it as a setting.
+The benchmark's tracer rebinds package functions by name, so those names
+must exist.
 """
 
 import ast
+import importlib
+import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zstates"
+TRACER = PACKAGE.parent.parent / "bench" / "tracer.py"
 LAYERS = [{"combinatorics"}, {"blocks"}, {"distill"}, {"protocol"},
           {"plandoc", "graph"}, {"cli"}, {"__main__"}]
 ORACLE = ["dense", "verify"]  # each may import the ones before it
@@ -104,3 +111,43 @@ def test_dense_cap_is_one_constant_of_dense():
                           for p in params if p and p.arg in {"cap", "dense_cap"}]
     assert assigned == {"dense"}
     assert knobs == []
+
+
+def test_bench_tracer_names_exist():
+    """A rename fails here rather than in `bench/run.py --trace 1`.  The
+    tracer imports only the standard library; it is run, never installed."""
+    tracer = runpy.run_path(str(TRACER))
+    missing = [f"{module}.{name}"
+               for table in (tracer["SPANNED"], tracer["COUNTED"])
+               for module, names in table.items() for name in names
+               if not hasattr(importlib.import_module(f"zstates.{module}"), name)]
+    assert missing == []
+
+
+
+REIMPORT = """
+import gc, sys, weakref
+class Probe: pass
+probes = []
+for _ in range(3):
+    for name in [n for n in sys.modules if n.split(".")[0] == "zstates"]:
+        del sys.modules[name]
+    import zstates.cli
+    for name in [n for n in sys.modules if n.split(".")[0] == "zstates"]:
+        sys.modules[name]._probe = probe = Probe()
+        probes.append((name, weakref.ref(probe)))
+del zstates, probe
+for name in [n for n in sys.modules if n.split(".")[0] == "zstates"]:
+    del sys.modules[name]
+gc.collect()
+print(sorted({name for name, ref in probes if ref() is not None}))
+"""
+
+
+def test_reimport_frees_the_previous_import():
+    """A process that drops and re-imports the package gets the old import's
+    memory back.  A package class inside a module-level typing construct
+    would pin every old import, since typing caches what it subscripts."""
+    done = subprocess.run([sys.executable, "-c", REIMPORT], capture_output=True,
+                          text=True, cwd=PACKAGE.parent, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

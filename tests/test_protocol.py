@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import zstates.protocol
+import zstates.verify
 from zstates import (
     Cycle,
     InvalidPlanError,
@@ -11,6 +13,7 @@ from zstates import (
     ProtocolPlan,
     StateRef,
     critical_path,
+    distill_step,
     execute_plan,
     gen_exact_plan,
     gen_exponential_plan,
@@ -95,8 +98,7 @@ def test_validate_empty_plan_needs_matching_input():
 # -------------------------------------------------------------- execution
 
 def test_execute_single_cycle():
-    report = execute_plan(single_cycle_plan(),
-                          lambda k, n1, n2: check_distillation_cell(k, n1, n2))
+    report = execute_plan(single_cycle_plan(), check_distillation_cell)
     assert report.final_state == z_state(1, 4, "out")
     assert report.cumulative_success == Fraction(2, 9)
     assert report.cycles[0].oracle_checked
@@ -121,10 +123,30 @@ def test_execute_empty_plan():
 
 def test_execute_oracle_verdicts():
     plan = gen_exact_plan(1, 3, 3)
-    report = execute_plan(plan, lambda k, n1, n2: None)
+    seen = []
+    report = execute_plan(plan, lambda k, n1, n2, outcome: seen.append(outcome))
     assert not any(c.oracle_checked for c in report.cycles)
+    # The oracle is handed each cycle's own outcome.
+    assert [o.success_probability for o in seen] == [
+        c.probability for c in report.cycles]
+    assert seen[-1].post_state == report.final_state
     with pytest.raises(PlanExecutionError, match="cycle 1: oracle disagreement: off"):
-        execute_plan(plan, lambda k, n1, n2: ["off"] if n1 == 5 else [])
+        execute_plan(plan, lambda k, n1, n2, outcome: ["off"] if n1 == 5 else [])
+
+
+def test_oracle_run_derives_each_cycle_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return distill_step(*args, **kwargs)
+
+    for module in (zstates.protocol, zstates.verify):
+        monkeypatch.setattr(module, "distill_step", counted)
+    plan = gen_exact_plan(1, 3, 3)
+    report = execute_plan(plan, check_distillation_cell)
+    assert all(c.oracle_checked for c in report.cycles)
+    assert len(calls) == len(plan.cycles) == 2
 
 
 def test_execute_rejects_invalid_plan():
