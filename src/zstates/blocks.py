@@ -113,12 +113,6 @@ class BlockProduct:
     def registers(self) -> tuple[RegisterId, ...]:
         return tuple([b.register for b in self.blocks])
 
-    def block_for(self, label: str) -> ZBlock:
-        for b in self.blocks:
-            if b.register.label == label:
-                return b
-        raise KeyError(label)
-
 
 Term = tuple[Fraction, BlockProduct]
 
@@ -267,39 +261,35 @@ def bit_flip(a: BlockSum) -> BlockSum:
         for c, p in a.terms])
 
 
-def _resolve_label(a: BlockSum, reg: Union[RegisterId, str]) -> RegisterId:
-    label = reg.label if isinstance(reg, RegisterId) else reg
-    for r in registers_of(a):
-        if r.label == label:
-            if isinstance(reg, RegisterId) and reg != r:
-                raise ValueError(f"register {label!r} has width {r.width}, "
-                                 f"not {reg.width}")
-            return r
-    raise ValueError(f"unknown register {label!r}")
+def _position(labels: list[str], label: str) -> int:
+    if label not in labels:
+        raise ValueError(f"unknown register {label!r}")
+    return labels.index(label)
 
 
-def split_register(a: BlockSum, reg: Union[RegisterId, str], m: int,
+def split_register(a: BlockSum, label: str, m: int,
                    new_labels: tuple[str, str]) -> BlockSum:
-    """Rewrite every Z_k(N) factor on `reg` as a sum of two-part factorizations.
+    """Rewrite every Z_k(N) factor on `label` as a sum of two-part factorizations.
 
     Z_k(N) becomes the sum of Z_j(m) Z_{k-j}(N-m) over two fresh registers,
     with j running over the values for which both parts have at least one
     basis string (so out-of-range summands simply never appear).  The dense
     expansion of the sum is preserved exactly.
     """
-    old = _resolve_label(a, reg)
-    if not 0 <= m <= old.width:
-        raise ValueError(f"split point must lie in 0..{old.width}, got {m}")
+    regs = registers_of(a)
+    labels = [r.label for r in regs]
+    pos = _position(labels, label)
+    width = regs[pos].width
+    if not 0 <= m <= width:
+        raise ValueError(f"split point must lie in 0..{width}, got {m}")
     label_left, label_right = new_labels
     if label_left == label_right:
         raise ValueError("new labels must be distinct")
-    labels = [r.label for r in registers_of(a)]
-    pos = labels.index(old.label)
     remaining = labels[:pos] + labels[pos + 1:]
     if label_left in remaining or label_right in remaining:
         raise ValueError("new labels collide with existing registers")
     reg_left = RegisterId(label_left, m)
-    reg_right = RegisterId(label_right, old.width - m)
+    reg_right = RegisterId(label_right, width - m)
     order = _label_order(remaining + [label_left, label_right])
     pairs = []
     for coeff, prod in a.terms:
@@ -315,8 +305,7 @@ def split_register(a: BlockSum, reg: Union[RegisterId, str], m: int,
     return block_sum(pairs)
 
 
-def merge_registers(a: BlockSum, reg_left: Union[RegisterId, str],
-                    reg_right: Union[RegisterId, str],
+def merge_registers(a: BlockSum, label_left: str, label_right: str,
                     new_label: str) -> tuple[BlockSum, bool]:
     """Inverse of :func:`split_register`, as an all-or-nothing pattern match.
 
@@ -326,16 +315,15 @@ def merge_registers(a: BlockSum, reg_left: Union[RegisterId, str],
     Otherwise the input is returned unchanged with a False indicator; nothing
     is ever partially collected, so canonical forms stay unique.
     """
-    left = _resolve_label(a, reg_left)
-    right = _resolve_label(a, reg_right)
-    if left.label == right.label:
+    regs = registers_of(a)
+    labels = [r.label for r in regs]
+    li, ri = _position(labels, label_left), _position(labels, label_right)
+    if li == ri:
         raise ValueError("left and right registers must differ")
-    labels = [r.label for r in registers_of(a)]
-    others = set(labels) - {left.label, right.label}
-    if new_label in others:
+    if new_label in set(labels) - {label_left, label_right}:
         raise ValueError(f"label {new_label!r} already in use")
+    left, right = regs[li], regs[ri]
     merged = RegisterId(new_label, left.width + right.width)
-    li, ri = labels.index(left.label), labels.index(right.label)
     rest_pos = [i for i in range(len(labels)) if i != li and i != ri]
 
     # (rest excitations, total) -> (rest blocks, coefficient by left count)

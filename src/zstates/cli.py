@@ -46,6 +46,14 @@ EXIT_INVALID_PLAN = 3
 EXIT_RUNTIME = 4
 
 
+class _Exit(Exception):
+    """Ends a command with `code` and one stderr line per message."""
+
+    def __init__(self, code: int, *messages: str) -> None:
+        super().__init__(*messages)
+        self.code, self.messages = code, messages
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zstates",
@@ -158,78 +166,57 @@ def _max_digits(obj) -> int:
     return len(int_str(abs(obj))) if type(obj) is int else 0
 
 
-def _load_plan(path_str: str):
-    """Returns (exit_code, plan or None, problem messages)."""
+def _load_plan(path_str: str) -> ProtocolPlan:
+    """The plan a document file describes; raises for any flaw on the way."""
     try:
         text = Path(path_str).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        return EXIT_BAD_INPUT, None, [f"cannot read {path_str}: {exc}"]
+        raise _Exit(EXIT_BAD_INPUT, f"cannot read {path_str}: {exc}") from exc
     try:
         doc = parse_document(text)
     except DocumentError as exc:
-        return EXIT_BAD_INPUT, None, [f"malformed plan document: {exc}"]
-    try:
-        plan = document_to_plan(doc)
-    except InvalidPlanError as exc:
-        return EXIT_INVALID_PLAN, None, exc.violations
-    return EXIT_OK, plan, []
+        raise _Exit(EXIT_BAD_INPUT, f"malformed plan document: {exc}") from exc
+    return document_to_plan(doc)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     if args.mode == "exact":
         if args.n1 is None or args.n2 is None:
-            print("mode 'exact' requires --n1 and --n2", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise _Exit(EXIT_BAD_INPUT, "mode 'exact' requires --n1 and --n2")
         if args.n_target is not None and args.n_target != args.n1 + args.n2:
-            print("--n-target must equal n1 + n2 for mode 'exact'",
-                  file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise _Exit(EXIT_BAD_INPUT,
+                        "--n-target must equal n1 + n2 for mode 'exact'")
         doc = PlanDocument(k=args.k, target_n=args.n1 + args.n2, mode="exact",
                            n1=args.n1, n2=args.n2)
     else:
         if args.n_target is None:
-            print(f"mode {args.mode!r} requires --n-target", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise _Exit(EXIT_BAD_INPUT, f"mode {args.mode!r} requires --n-target")
         if args.n1 is not None or args.n2 is not None:
-            print("--n1/--n2 are only valid for mode 'exact'", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise _Exit(EXIT_BAD_INPUT, "--n1/--n2 are only valid for mode 'exact'")
         doc = PlanDocument(k=args.k, target_n=args.n_target, mode=args.mode)
     try:
         document_to_plan(doc)
     except InvalidPlanError as exc:
-        for message in exc.violations:
-            print(message, file=sys.stderr)
-        return EXIT_BAD_INPUT
+        # A generator's precondition is on the flags: bad input, not a bad plan.
+        raise _Exit(EXIT_BAD_INPUT, *exc.violations) from exc
     sys.stdout.write(render_document(doc))
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    code, plan, problems = _load_plan(args.plan_file)
-    if code != EXIT_OK:
-        for message in problems:
-            print(message, file=sys.stderr)
-        return code
-    oracle = check_distillation_cell if args.verify_with_oracle else None
-    try:
-        report = execute_plan(plan, oracle)
-    except InvalidPlanError as exc:
-        for message in exc.violations:
-            print(message, file=sys.stderr)
-        return EXIT_INVALID_PLAN
-    except PlanExecutionError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_RUNTIME
+    plan = _load_plan(args.plan_file)
+    report = execute_plan(
+        plan, check_distillation_cell if args.verify_with_oracle else None)
     if args.report == "json":
         payload = report_to_json(plan, report)
         try:
             text = json.dumps(payload, indent=2)
-        except ValueError:
-            print(f"cannot write the JSON report: an integer in it has "
-                  f"{_max_digits(payload)} digits, past Python's "
-                  f"{sys.get_int_max_str_digits()}-digit limit for writing ints",
-                  file=sys.stderr)
-            return EXIT_RUNTIME
+        except ValueError as exc:
+            raise _Exit(EXIT_RUNTIME,
+                        f"cannot write the JSON report: an integer in it has "
+                        f"{_max_digits(payload)} digits, past Python's "
+                        f"{sys.get_int_max_str_digits()}-digit limit for "
+                        f"writing ints") from exc
         sys.stdout.write(text + "\n")
     else:
         sys.stdout.write(report_to_text(plan, report))
@@ -237,32 +224,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    code, plan, problems = _load_plan(args.plan_file)
-    if code != EXIT_OK:
-        for message in problems:
-            print(message, file=sys.stderr)
-        return code
-    try:
-        dot = plan_to_dot(plan)
-    except InvalidPlanError as exc:
-        for message in exc.violations:
-            print(message, file=sys.stderr)
-        return EXIT_INVALID_PLAN
-    sys.stdout.write(dot)
+    sys.stdout.write(plan_to_dot(_load_plan(args.plan_file)))
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n > DENSE_CAP:
-        print(f"--max-n {args.max_n} exceeds the dense cap {DENSE_CAP}",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise _Exit(EXIT_BAD_INPUT,
+                    f"--max-n {args.max_n} exceeds the dense cap {DENSE_CAP}")
     for flag, value, least in (("--max-n", args.max_n, 2),
                                ("--max-k", args.max_k, 1)):
         if value < least:
-            print(f"{flag} {value} is below {least}: the distillation and "
-                  f"selection sweeps would have no cells", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise _Exit(EXIT_BAD_INPUT,
+                        f"{flag} {value} is below {least}: the distillation "
+                        f"and selection sweeps would have no cells")
     results = run_verification(args.max_n, args.max_k, seed=args.seed,
                                corrupt_alpha=args.corrupt_alpha)
     failed = False
@@ -278,18 +253,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command; the only place a failure becomes its exit code and
+    its stderr lines."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "plan":
-        return cmd_plan(args)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "graph":
-        return cmd_graph(args)
-    return cmd_verify(args)
+    command = {"plan": cmd_plan, "run": cmd_run, "graph": cmd_graph,
+               "verify": cmd_verify}[args.command]
+    try:
+        return command(args)
+    except _Exit as exc:
+        code, messages = exc.code, exc.messages
+    except InvalidPlanError as exc:
+        code, messages = EXIT_INVALID_PLAN, exc.violations
+    except PlanExecutionError as exc:
+        code, messages = EXIT_RUNTIME, [str(exc)]
+    for message in messages:
+        print(message, file=sys.stderr)
+    return code
 
 
 def entry() -> None:

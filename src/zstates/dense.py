@@ -82,9 +82,9 @@ def to_dense(a: BlockSum) -> DenseState:
     _check_cap(sum(r.width for r in regs))
     amps: dict[str, Fraction] = {}
     for coeff, prod in a.terms:
-        per_register = [
-            _weight_strings(r.width, prod.block_for(r.label).excitations)
-            for r in regs]
+        # A product's blocks are in the sum's register order.
+        per_register = [_weight_strings(b.register.width, b.excitations)
+                        for b in prod.blocks]
         for parts in product(*per_register):
             s = "".join(parts)
             amps[s] = amps.get(s, Fraction(0)) + coeff

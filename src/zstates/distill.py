@@ -71,11 +71,9 @@ def x0_beta_sq(k: int) -> Fraction:
     """Squared normalization of the default projection target.
 
     With the default weights, the target's squared norm is
-    sum_j 1 / C(k, j)**2, and beta_sq is its reciprocal.
+    sum_j alpha_j**2 C(k, j)**2 = sum_j alpha_j, and beta_sq is its reciprocal.
     """
-    if k < 1:
-        raise ValueError("projection target needs k >= 1")
-    return 1 / sum(Fraction(1, binom(k, j) ** 2) for j in range(k + 1))
+    return 1 / sum(x0_alpha(k))
 
 
 def x0_state(k: int, reg_a: RegisterId, reg_b: RegisterId,

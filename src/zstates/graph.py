@@ -5,6 +5,10 @@ arrow-shaped polygon node labelled with the 2k qubits it consumes.  Edges
 run operand -> projection -> product.  Output is a pure function of the
 plan, so repeated exports are byte-identical.  Only plans that validate
 can be drawn: product sizes come from resolving the plan's ids.
+
+Cycle i's projection node is `proj{i}`.  A state whose id starts with
+`proj` or `~` is drawn as `~` + id, so no state meets a projection node:
+other ids never start with `~`, and the prefix keeps distinct ids distinct.
 """
 
 from __future__ import annotations
@@ -21,19 +25,21 @@ def _quote(s: str) -> str:
 def plan_to_dot(plan: ProtocolPlan) -> str:
     """DOT source for a plan; raises InvalidPlanError if it does not validate."""
     refs = _resolve_valid(plan).refs
+    node = {i: _quote("~" + i if i.startswith(("proj", "~")) else i)
+            for i in refs}
     lines = ["digraph plan {", "  rankdir=LR;"]
     for ref in (*plan.inputs, *plan.ancillas):
-        lines.append(f"  {_quote(ref.id)} [shape=box, style=rounded, "
+        lines.append(f"  {node[ref.id]} [shape=box, style=rounded, "
                      f"label={_quote(f'Z_{ref.k}({ref.n})')}];")
     for i, cyc in enumerate(plan.cycles):
-        proj = f"proj{i}"
+        proj = _quote(f"proj{i}")
         out = refs[cyc.produced]
-        lines.append(f"  {_quote(proj)} [shape=rarrow, "
+        lines.append(f"  {proj} [shape=rarrow, "
                      f"label={_quote(f'consume {2 * plan.k}')}];")
-        lines.append(f"  {_quote(out.id)} [shape=box, style=rounded, "
+        lines.append(f"  {node[out.id]} [shape=box, style=rounded, "
                      f"label={_quote(f'Z_{out.k}({out.n})')}];")
-        lines.append(f"  {_quote(cyc.left)} -> {_quote(proj)};")
-        lines.append(f"  {_quote(cyc.right)} -> {_quote(proj)};")
-        lines.append(f"  {_quote(proj)} -> {_quote(out.id)};")
+        lines.append(f"  {node[cyc.left]} -> {proj};")
+        lines.append(f"  {node[cyc.right]} -> {proj};")
+        lines.append(f"  {proj} -> {node[out.id]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -38,11 +38,18 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-MODES = ("explicit", "exact", "incremental", "exponential")
-
-_TOP_KEYS = {"schema_version", "mode", "k", "target_n", "n1", "n2",
-             "inputs", "ancillas", "cycles"}
-_GENERATOR_ONLY = {"exact": {"n1", "n2"}, "incremental": set(), "exponential": set()}
+# The schema in one table: the fields each mode has beyond the four every
+# document has, each mapped to whether the mode requires it, in the order
+# their rules are checked.
+_MODE_FIELDS = {
+    "explicit": {"inputs": True, "ancillas": False, "cycles": True},
+    "exact": {"n1": True, "n2": True},
+    "incremental": {},
+    "exponential": {},
+}
+MODES = tuple(_MODE_FIELDS)
+_COMMON = ("schema_version", "mode", "k", "target_n")
+_FIELD_MODE = {key: mode for mode, fields in _MODE_FIELDS.items() for key in fields}
 
 
 class DocumentError(ValueError):
@@ -75,32 +82,22 @@ def _expect_str(obj: dict, key: str, where: str) -> str:
     return value
 
 
-def _parse_state(entry: Any, where: str) -> tuple[str, int, int]:
-    if not isinstance(entry, dict):
-        raise DocumentError(f"{where} must be an object")
-    unknown = set(entry) - {"id", "k", "n"}
-    if unknown:
-        raise DocumentError(f"{where} has unknown fields: {sorted(unknown)}")
-    for key in ("id", "k", "n"):
-        if key not in entry:
-            raise DocumentError(f"{where} is missing {key!r}")
-    return (_expect_str(entry, "id", where),
-            _expect_int(entry, "k", where),
-            _expect_int(entry, "n", where))
+# The entries of each array field: their fields, each with its check.
+_STATE = {"id": _expect_str, "k": _expect_int, "n": _expect_int}
+_ENTRIES = {"inputs": _STATE, "ancillas": _STATE,
+            "cycles": dict.fromkeys(("left", "right", "produced"), _expect_str)}
 
 
-def _parse_cycle(entry: Any, where: str) -> tuple[str, str, str]:
+def _parse_entry(entry: Any, where: str, fields: dict) -> tuple:
     if not isinstance(entry, dict):
         raise DocumentError(f"{where} must be an object")
-    unknown = set(entry) - {"left", "right", "produced"}
-    if unknown:
-        raise DocumentError(f"{where} has unknown fields: {sorted(unknown)}")
-    for key in ("left", "right", "produced"):
-        if key not in entry:
-            raise DocumentError(f"{where} is missing {key!r}")
-    return (_expect_str(entry, "left", where),
-            _expect_str(entry, "right", where),
-            _expect_str(entry, "produced", where))
+    if entry.keys() != fields.keys():
+        unknown = entry.keys() - fields.keys()
+        if unknown:
+            raise DocumentError(f"{where} has unknown fields: {sorted(unknown)}")
+        missing = next(key for key in fields if key not in entry)
+        raise DocumentError(f"{where} is missing {missing!r}")
+    return tuple([expect(entry, key, where) for key, expect in fields.items()])
 
 
 def parse_document(text: str) -> PlanDocument:
@@ -113,10 +110,10 @@ def parse_document(text: str) -> PlanDocument:
         raise DocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
-    unknown = set(obj) - _TOP_KEYS
+    unknown = set(obj) - {*_COMMON, *_FIELD_MODE}
     if unknown:
         raise DocumentError(f"unknown fields: {sorted(unknown)}")
-    for key in ("schema_version", "mode", "k", "target_n"):
+    for key in _COMMON:
         if key not in obj:
             raise DocumentError(f"missing field {key!r}")
     version = _expect_int(obj, "schema_version", "document")
@@ -127,44 +124,26 @@ def parse_document(text: str) -> PlanDocument:
         raise DocumentError(f"mode must be one of {MODES}, got {mode!r}")
     k = _expect_int(obj, "k", "document")
     target_n = _expect_int(obj, "target_n", "document")
-
-    n1 = n2 = None
-    inputs: tuple[tuple[str, int, int], ...] = ()
-    ancillas: tuple[tuple[str, int, int], ...] = ()
-    cycles: tuple[tuple[str, str, str], ...] = ()
-    if mode == "explicit":
-        for key in ("n1", "n2"):
-            if key in obj:
-                raise DocumentError(f"field {key!r} is only valid for mode 'exact'")
-        for key in ("inputs", "cycles"):
-            if key not in obj:
-                raise DocumentError(f"mode 'explicit' requires field {key!r}")
-        for key, required_type in (("inputs", list), ("ancillas", list),
-                                   ("cycles", list)):
-            if key in obj and not isinstance(obj[key], required_type):
-                raise DocumentError(f"document.{key} must be an array")
-        inputs = tuple(_parse_state(e, f"inputs[{i}]")
-                       for i, e in enumerate(obj["inputs"]))
-        ancillas = tuple(_parse_state(e, f"ancillas[{i}]")
-                         for i, e in enumerate(obj.get("ancillas", [])))
-        cycles = tuple(_parse_cycle(e, f"cycles[{i}]")
-                       for i, e in enumerate(obj["cycles"]))
-    else:
-        for key in ("inputs", "ancillas", "cycles"):
-            if key in obj:
-                raise DocumentError(
-                    f"field {key!r} is only valid for mode 'explicit'")
-        required = _GENERATOR_ONLY[mode]
-        for key in ("n1", "n2"):
-            if key in required and key not in obj:
-                raise DocumentError(f"mode {mode!r} requires field {key!r}")
-            if key not in required and key in obj:
-                raise DocumentError(f"field {key!r} is only valid for mode 'exact'")
-        if mode == "exact":
-            n1 = _expect_int(obj, "n1", "document")
-            n2 = _expect_int(obj, "n2", "document")
-            if n1 + n2 != target_n:
-                raise DocumentError("target_n must equal n1 + n2 for mode 'exact'")
+    for key, owner in _FIELD_MODE.items():
+        if key in obj and owner != mode:
+            raise DocumentError(f"field {key!r} is only valid for mode {owner!r}")
+    for key, required in _MODE_FIELDS[mode].items():
+        if required and key not in obj:
+            raise DocumentError(f"mode {mode!r} requires field {key!r}")
+    # Only the mode's own fields are present now: every array is typed
+    # before any entry is parsed.
+    arrays = {key: obj.get(key, []) for key in _ENTRIES}
+    for key, array in arrays.items():
+        if not isinstance(array, list):
+            raise DocumentError(f"document.{key} must be an array")
+    inputs, ancillas, cycles = (
+        tuple([_parse_entry(e, f"{key}[{i}]", _ENTRIES[key])
+               for i, e in enumerate(array)])
+        for key, array in arrays.items())
+    n1, n2 = (_expect_int(obj, key, "document") if key in obj else None
+              for key in ("n1", "n2"))
+    if mode == "exact" and n1 + n2 != target_n:
+        raise DocumentError("target_n must equal n1 + n2 for mode 'exact'")
     return PlanDocument(k=k, target_n=target_n, mode=mode, n1=n1, n2=n2,
                         inputs=inputs, ancillas=ancillas, cycles=cycles)
 

@@ -155,6 +155,9 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
                          f"plan k={int_str(k)}")
             if ref.n < 1:
                 v.append(f"state {ref.id!r} has no qubits")
+            elif ref.n < ref.k:
+                v.append(f"state {ref.id!r} has k={int_str(ref.k)} > "
+                         f"n={int_str(ref.n)}")
     depth: dict[str, int] = {}
     producer: dict[str, Cycle] = {}
     unresolved: set[str] = set()
@@ -210,9 +213,10 @@ def _resolve_valid(plan: ProtocolPlan) -> _Resolved:
 def validate_plan(plan: ProtocolPlan) -> list[str]:
     """Every violation found; an empty list means the plan is executable.
 
-    Checks excitation-count consistency, the n >= 2k operand requirement,
-    that every operand names an input, ancilla or earlier product, single
-    consumption, id uniqueness, and the target arithmetic.
+    Checks excitation-count consistency, that each declared Z_k(n) has
+    1 <= n and k <= n, the n >= 2k operand requirement, that every operand
+    names an input, ancilla or earlier product, single consumption, id
+    uniqueness, and the target arithmetic.
     """
     return _resolve(plan).violations
 

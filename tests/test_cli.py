@@ -65,6 +65,26 @@ def test_single_cycle_graph_shape(tmp_path, capsys):
     assert '"a" -> "proj0";' in dot
 
 
+def test_state_ids_never_meet_projection_nodes(tmp_path, capsys):
+    """A state id starting with `proj` or `~` is drawn as `~` + id, so the
+    input `proj0` and cycle 0's projection stay two nodes."""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "mode": "explicit", "k": 1, "target_n": 4,
+        "inputs": [{"id": "proj0", "k": 1, "n": 3}, {"id": "b", "k": 1, "n": 3}],
+        "ancillas": [],
+        "cycles": [{"left": "proj0", "right": "b", "produced": "out"}],
+    }))
+    code, dot, _ = run_cli(capsys, "graph", str(path))
+    assert code == 0
+    assert dot.count("shape=box") == 3
+    assert '  "~proj0" [shape=box' in dot
+    assert '"~proj0" -> "proj0";' in dot
+    edges = [line.strip(" ;").split(" -> ") for line in dot.splitlines()
+             if " -> " in line]
+    assert len(edges) == 3 and all(head != tail for head, tail in edges)
+
+
 def test_zero_cycle_graph_has_input_nodes_only(tmp_path, capsys):
     path = write_plan(tmp_path, capsys, "--mode", "incremental", "--k", "1",
                       "--n-target", "3")

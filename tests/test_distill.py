@@ -29,8 +29,9 @@ def _regs(k):
 
 
 def _weights(target):
-    """The target's coefficient alpha_j, indexed by j, its XB excitation."""
-    by_j = {p.block_for("XB").excitations: c for c, p in target.terms}
+    """The target's coefficient alpha_j, indexed by j, its XB excitation
+    (XB sorts after XA, so its block is second)."""
+    by_j = {p.blocks[1].excitations: c for c, p in target.terms}
     return tuple(by_j[j] for j in sorted(by_j))
 
 

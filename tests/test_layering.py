@@ -8,7 +8,7 @@ the layers below it (verify also uses dense), and of the core only cli may
 import them, so the engine never depends on its own checker.  The oracle's
 reach is one constant that dense owns; no function takes it as a setting.
 The benchmark's tracer rebinds package functions by name, so those names
-must exist.
+must exist.  In cli, only `main` turns a failure into stderr lines.
 """
 
 import ast
@@ -111,6 +111,24 @@ def test_dense_cap_is_one_constant_of_dense():
                           for p in params if p and p.arg in {"cap", "dense_cap"}]
     assert assigned == {"dense"}
     assert knobs == []
+
+
+def top_level_users(module: str, used) -> set[str]:
+    """Top-level definitions of `module` whose code has a node `used` accepts."""
+    return {getattr(node, "name", "<module>") for node in parse(module).body
+            if any(map(used, ast.walk(node)))}
+
+
+def test_only_cli_main_writes_stderr():
+    """A command raises; `cli.main` alone turns that into its exit code and
+    its stderr lines.  Only `cmd_plan` also catches InvalidPlanError, since a
+    generator precondition there is bad input, not an invalid plan."""
+    assert top_level_users("cli", lambda n: (
+        isinstance(n, ast.Attribute) and n.attr == "stderr"
+        or isinstance(n, ast.Name) and n.id == "stderr")) == {"main"}
+    assert top_level_users("cli", lambda n: (
+        isinstance(n, ast.ExceptHandler) and n.type is not None
+        and "InvalidPlanError" in ast.unparse(n.type))) == {"main", "cmd_plan"}
 
 
 def test_bench_tracer_names_exist():

@@ -95,6 +95,19 @@ def test_validate_empty_plan_needs_matching_input():
     assert any("no input matching" in v for v in validate_plan(bad))
 
 
+def test_validate_flags_states_with_more_excitations_than_qubits():
+    """Z_2(1) has no basis string: a plan that declares it, even unconsumed,
+    does not validate, so execution never meets it."""
+    lone = ProtocolPlan(2, (StateRef("a", 2, 1),), (), (), (2, 1))
+    assert validate_plan(lone) == ["state 'a' has k=2 > n=1"]
+    with pytest.raises(InvalidPlanError):
+        execute_plan(lone)
+    plan = single_cycle_plan(k=2, n1=5, n2=5)
+    spare = ProtocolPlan(2, plan.inputs, (StateRef("c", 2, 1),), plan.cycles,
+                         plan.target)
+    assert validate_plan(spare) == ["state 'c' has k=2 > n=1"]
+
+
 # -------------------------------------------------------------- execution
 
 def test_execute_single_cycle():
