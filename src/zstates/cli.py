@@ -9,6 +9,7 @@ document, 3 invalid plan, 4 execution error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -54,8 +55,22 @@ class _Exit(Exception):
         self.code, self.messages = code, messages
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Ends a parse through `main`: `--help`, once its text is on stdout,
+    with exit 0, and a usage error with exit 2 and one stderr line.
+    Subparsers are made of the same class."""
+
+    def exit(self, status: int = 0, message: Optional[str] = None):
+        raise _Exit(status, *([message.rstrip("\n")] if message else []))
+
+    def error(self, message: str):
+        raise _Exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}")
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The command line parser, built once per process."""
+    parser = _Parser(
         prog="zstates",
         description="Exact engine for symmetric-state distillation plans.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -255,14 +270,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one command; the only place a failure becomes its exit code and
     its stderr lines."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    command = {"plan": cmd_plan, "run": cmd_run, "graph": cmd_graph,
-               "verify": cmd_verify}[args.command]
-    try:
+        args = _parser().parse_args(argv)
+        command = {"plan": cmd_plan, "run": cmd_run, "graph": cmd_graph,
+                   "verify": cmd_verify}[args.command]
         return command(args)
     except _Exit as exc:
         code, messages = exc.code, exc.messages

@@ -12,11 +12,13 @@ product of its per-cycle success probabilities.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .blocks import BlockSum, RegisterId, z_state
+from .blocks import BlockProduct, BlockSum, RegisterId, ZBlock, block_sum, z_state
 from .combinatorics import int_str
 from .distill import DistillationError, DistillOutcome, distill_step
 
@@ -254,42 +256,80 @@ def critical_path(plan: ProtocolPlan) -> list[int]:
     return path
 
 
+def _shape(state: BlockSum) -> tuple:
+    """A canonical form without its register labels: each term's
+    coefficient, and the widths and excitations of its blocks."""
+    return tuple([(c, tuple([(b.register.width, b.excitations) for b in p.blocks]))
+                  for c, p in state.terms])
+
+
+def _relabel(state: BlockSum, label: str) -> BlockSum:
+    """A sum over one register, with that register renamed `label`."""
+    return block_sum([
+        (c, BlockProduct(tuple([ZBlock(RegisterId(label, b.register.width),
+                                       b.excitations) for b in p.blocks])))
+        for c, p in state.terms])
+
+
 def execute_plan(plan: ProtocolPlan,
                  oracle: Optional[Oracle] = None) -> ExecutionReport:
     """Run every cycle in order, symbolically, with exact probabilities.
 
     Raises InvalidPlanError, listing every violation, for a plan that does
-    not validate.  With an `oracle`, each cycle's own outcome is also
-    checked by it, so each cycle is still derived once: a cycle it reports
-    problems for fails, one it returns None for (beyond its reach) stays
-    unchecked.  Errors name the failing cycle index.
+    not validate.  Each distinct step shape is derived once per call: a
+    cycle whose operands equal an earlier cycle's in canonical form,
+    register labels aside, reuses that outcome, relabelled to its own
+    produced id.  An outcome is kept only while a later cycle on the same
+    operand sizes remains, and a base state is built when a cycle
+    consumes it.
+    With an `oracle`, each cycle's outcome is also checked by it: a cycle
+    it reports problems for fails, one it returns None for (beyond its
+    reach) stays unchecked.  Errors name the failing cycle index.
     """
     resolved = _resolve_valid(plan)
     refs = resolved.refs
-    states: dict[str, BlockSum] = {
-        ref.id: z_state(ref.k, ref.n, RegisterId(ref.id, ref.n))
-        for ref in (*plan.inputs, *plan.ancillas)}
+    states: dict[str, BlockSum] = {}  # products not yet consumed
+
+    def state(ref: StateRef) -> BlockSum:
+        if ref.id in resolved.producer:
+            return states.pop(ref.id)
+        return z_state(ref.k, ref.n, RegisterId(ref.id, ref.n))
+
+    # Cycles left per (n_left, n_right); memo[sizes] = (shape, outcome).
+    uses = Counter((refs[c.left].n, refs[c.right].n) for c in plan.cycles)
+    memo: dict[tuple[int, int], tuple[tuple, DistillOutcome]] = {}
     results: list[CycleResult] = []
-    cumulative = Fraction(1)
     for i, cyc in enumerate(plan.cycles):
         left, right = refs[cyc.left], refs[cyc.right]
-        try:
-            outcome = distill_step(states.pop(cyc.left), states.pop(cyc.right),
-                                   out_label=cyc.produced)
-        except (ValueError, DistillationError) as exc:
-            raise PlanExecutionError(i, str(exc)) from exc
+        a, b = state(left), state(right)
+        sizes, shape = (left.n, right.n), (_shape(a), _shape(b))
+        uses[sizes] -= 1
+        cached = memo.pop(sizes, None)
+        if cached is not None and cached[0] == shape:
+            outcome = DistillOutcome(_relabel(cached[1].post_state, cyc.produced),
+                                     cached[1].success_probability)
+        else:
+            try:
+                outcome = distill_step(a, b, out_label=cyc.produced)
+            except (ValueError, DistillationError) as exc:
+                raise PlanExecutionError(i, str(exc)) from exc
+        if uses[sizes]:
+            memo[sizes] = (shape, outcome)
         problems = None if oracle is None else oracle(plan.k, left.n, right.n, outcome)
         if problems:
             raise PlanExecutionError(
                 i, "oracle disagreement: " + "; ".join(problems))
         states[cyc.produced] = outcome.post_state
-        cumulative *= outcome.success_probability
         results.append(CycleResult(left, right, refs[cyc.produced],
                                    outcome.success_probability,
                                    problems is not None))
+    # One reduction for the whole product, not one per cycle.
+    probabilities = [r.probability for r in results]
+    cumulative = Fraction(math.prod([p.numerator for p in probabilities]),
+                          math.prod([p.denominator for p in probabilities]))
     return ExecutionReport(tuple(results), cumulative,
                            _ledger(plan, resolved), resolved.final,
-                           states[resolved.final.id])
+                           state(resolved.final))
 
 
 def _check_generator_domain(k: int, n: int, name: str, minimum: int) -> None:

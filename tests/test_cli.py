@@ -1,5 +1,6 @@
 """Command line round trips, report formats, and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -227,6 +228,40 @@ def test_plan_precondition_violations_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "plan", "--mode", "incremental", "--k", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["plan", "--mode", "exact", "--k", "x"],
+     "zstates plan: error: argument --k: invalid int value: 'x'"),
+    (["bogus"], "zstates: error: argument command: invalid choice: 'bogus' "
+                "(choose from 'plan', 'run', 'graph', 'verify')"),
+    (["run"], "zstates run: error: the following arguments are required: "
+              "plan_file"),
+], ids=["bad-int", "unknown-command", "missing-positional"])
+def test_usage_errors_are_one_stderr_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", message + "\n")
+
+
+def test_help_goes_to_stdout_and_exits_0(capsys):
+    code, out, err = run_cli(capsys, "plan", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: zstates plan [-h] --mode")
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    argv = ["plan", "--mode", "exact", "--k", "1", "--n1", "3", "--n2", "3"]
+    assert run_cli(capsys, *argv)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(3):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert built == []
 
 
 def test_run_malformed_document_exits_2(tmp_path, capsys):

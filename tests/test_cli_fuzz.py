@@ -118,12 +118,15 @@ def call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_clean_exit(argv):
+def assert_clean_exit(argv, lines=None):
+    """A code in 0..4; a failure writes no stdout and at least one stderr
+    line, or exactly `lines` of them."""
     code, out, err = call(argv)
     assert code in range(5), (argv, code)
     if code:
         assert out == "", (argv, code)
         assert any(line.strip() for line in err.splitlines()), (argv, code)
+        assert lines is None or len(err.splitlines()) == lines, (argv, err)
     return code
 
 
@@ -162,4 +165,4 @@ def test_any_small_plan_argv_ends_in_an_exit_code(mode, k, sizes):
     argv = ["plan", "--mode", mode, "--k", str(k)]
     for flag, value in sizes.items():
         argv += [flag, str(value)]
-    assert_clean_exit(argv)
+    assert_clean_exit(argv, lines=1)

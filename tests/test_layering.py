@@ -9,6 +9,7 @@ import them, so the engine never depends on its own checker.  The oracle's
 reach is one constant that dense owns; no function takes it as a setting.
 The benchmark's tracer rebinds package functions by name, so those names
 must exist.  In cli, only `main` turns a failure into stderr lines.
+protocol keeps no state between calls: its shape memo lives for one run.
 """
 
 import ast
@@ -129,6 +130,42 @@ def test_only_cli_main_writes_stderr():
     assert top_level_users("cli", lambda n: (
         isinstance(n, ast.ExceptHandler) and n.type is not None
         and "InvalidPlanError" in ast.unparse(n.type))) == {"main", "cmd_plan"}
+
+
+MUTABLE_VALUES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
+                  ast.SetComp)
+MUTABLE_TYPES = {"list", "dict", "set", "bytearray", "Counter", "defaultdict",
+                 "OrderedDict", "deque"}
+
+
+def name_of(node: ast.AST):
+    """What a name, an attribute or an imported alias names, else None."""
+    if isinstance(node, ast.alias):
+        return node.name
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_protocol_keeps_no_state_between_calls():
+    """`execute_plan` memoises step outcomes for one call only, so protocol
+    has no module-level container (`__all__` aside) and no function cache
+    that could carry outcomes from one run into the next."""
+    tree = parse("protocol")
+    shared = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if [getattr(t, "id", None) for t in targets] == ["__all__"]:
+            continue
+        if (isinstance(value, MUTABLE_VALUES) or isinstance(value, ast.Call)
+                and name_of(value.func) in MUTABLE_TYPES):
+            shared.append(ast.unparse(node))
+    caches = [ast.unparse(n) for n in ast.walk(tree)
+              if name_of(n) in {"cache", "lru_cache"}]
+    assert (shared, caches) == ([], [])
 
 
 def test_bench_tracer_names_exist():

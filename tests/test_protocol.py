@@ -8,6 +8,7 @@ import zstates.protocol
 import zstates.verify
 from zstates import (
     Cycle,
+    CycleResult,
     InvalidPlanError,
     PlanExecutionError,
     ProtocolPlan,
@@ -18,10 +19,13 @@ from zstates import (
     gen_exact_plan,
     gen_exponential_plan,
     gen_incremental_plan,
+    registers_of,
     success_probability,
     validate_plan,
     z_state,
 )
+from zstates.blocks import RegisterId, block_sum
+from zstates.distill import DistillOutcome
 from zstates.verify import check_distillation_cell
 
 
@@ -160,6 +164,93 @@ def test_oracle_run_derives_each_cycle_once(monkeypatch):
     report = execute_plan(plan, check_distillation_cell)
     assert all(c.oracle_checked for c in report.cycles)
     assert len(calls) == len(plan.cycles) == 2
+
+
+def test_oracle_sees_every_cycle_under_its_own_id():
+    plan = gen_exponential_plan(1, 20)  # repeats shapes, so most cycles hit
+    seen = []
+
+    def oracle(k, n1, n2, outcome):
+        seen.append((n1, n2, registers_of(outcome.post_state)))
+        return []
+
+    report = execute_plan(plan, oracle)
+    assert all(c.oracle_checked for c in report.cycles)
+    assert seen == [(c.left.n, c.right.n, (RegisterId(c.produced.id, c.produced.n),))
+                    for c in report.cycles]
+
+
+def fresh_run(plan, step=distill_step):
+    """Every cycle derived afresh, base states built up front: the loop the
+    memoised `execute_plan` must match exactly."""
+    refs = {r.id: r for r in (*plan.inputs, *plan.ancillas)}
+    states = {r.id: z_state(r.k, r.n, RegisterId(r.id, r.n)) for r in refs.values()}
+    results, cumulative = [], Fraction(1)
+    for cyc in plan.cycles:
+        left, right = refs[cyc.left], refs[cyc.right]
+        outcome = step(states.pop(cyc.left), states.pop(cyc.right),
+                       out_label=cyc.produced)
+        refs[cyc.produced] = StateRef(cyc.produced, plan.k,
+                                      left.n + right.n - 2 * plan.k)
+        states[cyc.produced] = outcome.post_state
+        cumulative *= outcome.success_probability
+        results.append(CycleResult(left, right, refs[cyc.produced],
+                                   outcome.success_probability))
+    final = plan.cycles[-1].produced if plan.cycles else plan.inputs[0].id
+    return tuple(results), cumulative, states[final]
+
+
+AWKWARD = ProtocolPlan(  # ids that meet distill_step's own /sel and /keep labels
+    1, (StateRef("x", 1, 3), StateRef("x/sel", 1, 3), StateRef("x/keep", 1, 3)),
+    (StateRef("x/sel/keep", 1, 3),),
+    (Cycle("x", "x/sel", "x/sel/sel"), Cycle("x/keep", "x/sel/keep", "x+x/sel"),
+     Cycle("x/sel/sel", "x+x/sel", "out")), (1, 6))
+
+
+MEMO_PLANS = {**{f"exponential-k{k}-n{n}": gen_exponential_plan(k, n)
+                 for k in (1, 2, 3) for n in (2 * k + 1, 2 * k + 9, 40)},
+              "awkward-ids": AWKWARD}
+
+
+@pytest.mark.parametrize("name", MEMO_PLANS)
+def test_memoised_run_matches_fresh_derivations(name):
+    plan = MEMO_PLANS[name]
+    report = execute_plan(plan)
+    assert (report.cycles, report.cumulative_success, report.final_state) == \
+        fresh_run(plan)
+
+
+def test_memo_tells_operands_apart_by_coefficient(monkeypatch):
+    """A hit needs equal canonical forms, coefficients included, not only
+    equal sizes: here cycles 1 and 2 both join a Z_1(4) with a Z_1(3), but
+    only cycle 1's Z_1(4) is a product, and every product is doubled."""
+    def doubled(a, b, **kwargs):
+        out = distill_step(a, b, **kwargs)
+        return DistillOutcome(block_sum([(2 * c, p) for c, p in out.post_state.terms]),
+                              out.success_probability)
+
+    monkeypatch.setattr(zstates.protocol, "distill_step", doubled)
+    ids = {"a": 3, "b": 3, "c": 4, "d": 3, "e": 3}
+    plan = ProtocolPlan(1, tuple(StateRef(i, 1, n) for i, n in ids.items()), (),
+                        (Cycle("a", "b", "p"), Cycle("p", "d", "q"),
+                         Cycle("c", "e", "r")), (1, 5))
+    report = execute_plan(plan)
+    assert (report.cycles, report.cumulative_success, report.final_state) == \
+        fresh_run(plan, doubled)
+
+
+def test_each_shape_is_derived_once(monkeypatch):
+    calls = []
+
+    def counted(a, b, **kwargs):
+        calls.append((registers_of(a)[0].width, registers_of(b)[0].width))
+        return distill_step(a, b, **kwargs)
+
+    monkeypatch.setattr(zstates.protocol, "distill_step", counted)
+    report = execute_plan(gen_exponential_plan(1, 100))
+    sizes = [(c.left.n, c.right.n) for c in report.cycles]
+    assert len(set(sizes)) < len(sizes)
+    assert sorted(calls) == sorted(set(sizes))
 
 
 def test_execute_rejects_invalid_plan():
