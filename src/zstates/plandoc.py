@@ -20,6 +20,7 @@ from .protocol import (
     InvalidPlanError,
     ProtocolPlan,
     StateRef,
+    check_cycle_count,
     gen_exact_plan,
     gen_exponential_plan,
     gen_incremental_plan,
@@ -172,9 +173,10 @@ def document_to_plan(doc: PlanDocument) -> ProtocolPlan:
     """Materialize the plan a document describes.
 
     Generator modes invoke the corresponding generator; precondition
-    violations surface as InvalidPlanError.  Explicit mode copies the states
-    and the cycles' id triples as they are; `validate_plan` reports ids
-    that name no earlier state.
+    violations surface as InvalidPlanError, as does a plan of more than
+    `MAX_CYCLES` cycles, which the generators refuse before they build one.
+    Explicit mode copies the states and the cycles' id triples as they are;
+    `validate_plan` reports ids that name no earlier state.
     """
     try:
         if doc.mode == "exact":
@@ -183,6 +185,7 @@ def document_to_plan(doc: PlanDocument) -> ProtocolPlan:
             return gen_incremental_plan(doc.k, doc.target_n)
         if doc.mode == "exponential":
             return gen_exponential_plan(doc.k, doc.target_n)
+        check_cycle_count(len(doc.cycles))
     except ValueError as exc:
         raise InvalidPlanError([str(exc)]) from exc
     return ProtocolPlan(doc.k, tuple(StateRef(*s) for s in doc.inputs),

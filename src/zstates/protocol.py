@@ -31,6 +31,8 @@ __all__ = [
     "ExecutionReport",
     "InvalidPlanError",
     "PlanExecutionError",
+    "MAX_CYCLES",
+    "check_cycle_count",
     "validate_plan",
     "execute_plan",
     "critical_path",
@@ -38,6 +40,10 @@ __all__ = [
     "gen_incremental_plan",
     "gen_exponential_plan",
 ]
+
+# The most cycles a plan may have, checked before any cycle is built: 250
+# times the largest plans the benchmark runs (about 4,000 cycles).
+MAX_CYCLES = 10 ** 6
 
 # oracle(k, n1, n2, outcome): the problems it finds in the outcome of one step
 # on Z_k(n1), Z_k(n2) (empty when it agrees), or None beyond its reach.  The
@@ -332,6 +338,13 @@ def execute_plan(plan: ProtocolPlan,
                            state(resolved.final))
 
 
+def check_cycle_count(cycles: int) -> None:
+    """Raise ValueError for a plan of more than MAX_CYCLES cycles."""
+    if cycles > MAX_CYCLES:
+        raise ValueError(f"the plan would have {int_str(cycles)} cycles, more "
+                         f"than the limit of {int_str(MAX_CYCLES)}")
+
+
 def _check_generator_domain(k: int, n: int, name: str, minimum: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -363,6 +376,7 @@ def gen_incremental_plan(k: int, n_target: int) -> ProtocolPlan:
     base_n = 2 * k + 1
     _check_generator_domain(k, n_target, "n_target", base_n)
     steps = n_target - base_n
+    check_cycle_count(steps)
     bases = tuple(StateRef(f"base{i + 1}", k, base_n)
                   for i in range(max(1, steps + 1)))
     cycles = tuple(Cycle(f"s{i}" if i else "base1", f"base{i + 2}", f"s{i + 1}")
@@ -383,6 +397,7 @@ def gen_exponential_plan(k: int, n_target: int) -> ProtocolPlan:
     base_n = 2 * k + 1
     _check_generator_domain(k, n_target, "n_target", base_n)
     span = n_target - 2 * k
+    check_cycle_count(span - 1)
     bases: list[StateRef] = []
     cycles: list[Cycle] = []
 

@@ -25,6 +25,7 @@ from .blocks import (
 from .combinatorics import binom, vandermonde_holds
 from .dense import (
     DENSE_CAP,
+    DenseState,
     dense_inner,
     dense_project,
     dense_z,
@@ -55,7 +56,6 @@ __all__ = [
     "run_verification",
 ]
 
-_FLIP = str.maketrans("01", "10")
 PERMUTATION_SAMPLES = 50  # random qubit permutations per Z_k(N)
 SELECTION_SAMPLES = 10  # random measured-qubit selections per distillation cell
 Selection = tuple[Sequence[int], Sequence[int]]  # indexes within each operand
@@ -104,7 +104,7 @@ def sweep_norms(max_symbolic_n: int, max_dense_n: int) -> SweepResult:
 def composition_cell_matches(k: int, n: int, m: int) -> bool:
     """Splitting Z_k(N) at position m leaves the dense expansion unchanged."""
     split = split_register(z_state(k, n, RegisterId("q", n)), "q", m, ("qa", "qb"))
-    return to_dense(split).amplitudes == dense_z(k, n).amplitudes
+    return to_dense(split).same_values(dense_z(k, n))
 
 
 def sweep_composition(max_n: int) -> SweepResult:
@@ -212,9 +212,10 @@ def sweep_bit_flip(max_n: int) -> SweepResult:
             if flipped != z_state(n - k, n, "q"):
                 res.failures.append(f"symbolic (N={n}, k={k})")
                 continue
-            complemented = {s.translate(_FLIP): v
-                            for s, v in to_dense(state).amplitudes.items()}
-            if complemented != to_dense(flipped).amplitudes:
+            dense, ones = to_dense(state), (1 << n) - 1
+            complemented = DenseState(dense.registers, {
+                key ^ ones: v for key, v in dense.amplitudes.items()}, dense.scale)
+            if complemented != to_dense(flipped):
                 res.failures.append(f"dense (N={n}, k={k})")
     return res
 
@@ -230,7 +231,7 @@ def sweep_permutations(max_n: int, seed: int) -> SweepResult:
             for _ in range(PERMUTATION_SAMPLES):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                if permute_qubits(state, perm).amplitudes != state.amplitudes:
+                if permute_qubits(state, perm) != state:
                     res.failures.append(f"(N={n}, k={k}, perm={perm})")
                     break
     return res

@@ -291,6 +291,43 @@ def test_run_k_mismatch_exits_3(tmp_path, capsys):
     assert "plan k" in err
 
 
+@pytest.mark.parametrize("mode", ["incremental", "exponential"])
+def test_a_plan_past_the_cycle_limit_exits_at_once(tmp_path, capsys, mode):
+    """A target of 10^11 qubits would take about 10^11 cycles: `plan` exits
+    2 and `run` exits 3, each with one stderr line, before any is built."""
+    target = str(10 ** 11)
+    code, out, err = run_cli(capsys, "plan", "--mode", mode, "--k", "1",
+                             "--n-target", target)
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    assert "more than the limit" in err
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"schema_version": 1, "mode": mode, "k": 1,
+                                "target_n": int(target)}), encoding="utf-8")
+    for command in ("run", "graph"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out, len(err.splitlines())) == (3, "", 1)
+        assert "more than the limit" in err
+
+
+def test_an_explicit_plan_past_the_cycle_limit_exits_3(tmp_path, capsys,
+                                                       monkeypatch):
+    import zstates.protocol
+
+    monkeypatch.setattr(zstates.protocol, "MAX_CYCLES", 1)
+    doc = {"schema_version": 1, "mode": "explicit", "k": 1, "target_n": 5,
+           "inputs": [{"id": i, "k": 1, "n": 3} for i in "abc"],
+           "ancillas": [],
+           "cycles": [{"left": "a", "right": "b", "produced": "d"},
+                      {"left": "d", "right": "c", "produced": "e"}]}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out, err) == (
+        3, "", "the plan would have 2 cycles, more than the limit of 1\n")
+    monkeypatch.setattr(zstates.protocol, "MAX_CYCLES", 2)
+    assert run_cli(capsys, "run", str(path))[0] == 0
+
+
 def test_graph_invalid_plan_exits_3(tmp_path, capsys):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps({

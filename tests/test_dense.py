@@ -31,17 +31,18 @@ from zstates import (
 
 
 def basis_state(bits: str) -> DenseState:
-    """One computational basis string, amplitude 1."""
-    return DenseState((RegisterId("m", len(bits)),), {bits: Fraction(1)})
+    """The basis state of one bit string, amplitude 1."""
+    return DenseState((RegisterId("m", len(bits)),), {int(bits or "0", 2): 1})
 
 
 # ---------------------------------------------------------------- dense_z
 
 def test_dense_z_small_cases():
-    assert set(dense_z(1, 3).amplitudes) == {"100", "010", "001"}
-    assert dense_z(0, 4).amplitudes == {"0000": Fraction(1)}
+    assert set(dense_z(1, 3).amplitudes) == {0b100, 0b010, 0b001}
+    assert dense_z(0, 4) == DenseState((RegisterId("q", 4),), {0b0000: 1})
     assert len(dense_z(3, 6).amplitudes) == 20
-    assert all(v == 1 for v in dense_z(3, 6).amplitudes.values())
+    z = dense_z(3, 6)
+    assert z.scale == 1 and all(v == 1 for v in z.amplitudes.values())
 
 
 def test_dense_z_cap():
@@ -55,17 +56,18 @@ def test_dense_z_cap():
 # ---------------------------------------------------------------- to_dense
 
 def test_to_dense_single_block_matches_dense_z():
-    assert to_dense(z_state(1, 3, "A")).amplitudes == dense_z(1, 3).amplitudes
+    assert to_dense(z_state(1, 3, "A")).same_values(dense_z(1, 3))
 
 
 def test_to_dense_is_linear_in_coefficients():
     s = linear_combination((Fraction(1, 2), z_state(1, 2, "A")))
-    assert to_dense(s).amplitudes == {"10": Fraction(1, 2), "01": Fraction(1, 2)}
+    assert to_dense(s) == DenseState((RegisterId("A", 2),), {0b10: 1, 0b01: 1},
+                                     Fraction(1, 2))
 
 
 def test_to_dense_split_preserves_amplitudes():
     split = split_register(z_state(2, 5, "q"), "q", 2, ("qa", "qb"))
-    assert to_dense(split).amplitudes == dense_z(2, 5).amplitudes
+    assert to_dense(split).same_values(dense_z(2, 5))
 
 
 def test_to_dense_commutes_with_merge():
@@ -76,7 +78,7 @@ def test_to_dense_commutes_with_merge():
         before = to_dense(split)
         merged, ok = merge_registers(split, "qa", "qb", "out")
         assert ok
-        assert to_dense(merged).amplitudes == before.amplitudes
+        assert to_dense(merged).same_values(before)
 
 
 def test_to_dense_commutes_with_tensor():
@@ -85,11 +87,12 @@ def test_to_dense_commutes_with_tensor():
     a = linear_combination((Fraction(1, 3), z_state(1, 2, "A")))
     b = z_state(2, 3, "B")
     joint = to_dense(tensor(a, b))
-    expected = {}
-    for sa, va in to_dense(a).amplitudes.items():
-        for sb, vb in to_dense(b).amplitudes.items():
-            expected[sa + sb] = va * vb
-    assert joint.amplitudes == expected
+    da, db = to_dense(a), to_dense(b)
+    expected = {(ka << db.width) | kb: va * vb
+                for ka, va in da.amplitudes.items()
+                for kb, vb in db.amplitudes.items()}
+    assert joint == DenseState((*da.registers, *db.registers), expected,
+                               da.scale * db.scale)
 
 
 # -------------------------------------------------------------- dense_inner
@@ -120,19 +123,20 @@ def test_inner_product_agrees_with_dense(a, b):
 @settings(max_examples=60)
 @given(a=block_sums())
 def test_bit_flip_agrees_with_dense_complement(a):
-    flip = str.maketrans("01", "10")
-    complemented = {s.translate(flip): v
-                    for s, v in to_dense(a).amplitudes.items()}
-    assert complemented == to_dense(bit_flip(a)).amplitudes
+    d = to_dense(a)
+    ones = (1 << d.width) - 1
+    complemented = DenseState(d.registers, {key ^ ones: v
+                                            for key, v in d.amplitudes.items()},
+                              d.scale)
+    assert complemented == to_dense(bit_flip(a))
 
 
 # ------------------------------------------------------------ dense_project
 
 def test_project_two_term_state():
-    state = DenseState((RegisterId("p", 2),),
-                       {"10": Fraction(1), "01": Fraction(1)})
+    state = DenseState((RegisterId("p", 2),), {0b10: 1, 0b01: 1})
     remainder, weight = dense_project(state, [0], basis_state("1"))
-    assert remainder.amplitudes == {"0": Fraction(1)}
+    assert remainder == DenseState((RegisterId("rest", 1),), {0b0: 1})
     assert weight == Fraction(1, 2)
 
 
@@ -167,8 +171,6 @@ def test_project_errors():
 
 def test_born_rule_completeness_over_computational_basis():
     """Projection weights over a complete orthogonal basis sum to exactly 1."""
-    from itertools import product as iproduct
-
     states = [
         to_dense(z_state(2, 6, "q")),
         to_dense(linear_combination((Fraction(1, 3), z_state(1, 6, "q")),
@@ -178,8 +180,8 @@ def test_born_rule_completeness_over_computational_basis():
         for measured in (2, 3, 4):
             qubits = list(range(measured))
             total = Fraction(0)
-            for bits in iproduct("01", repeat=measured):
-                target = basis_state("".join(bits))
+            for x in range(2 ** measured):
+                target = DenseState((RegisterId("m", measured),), {x: 1})
                 _, weight = dense_project(state, qubits, target)
                 total += weight
             assert total == 1
@@ -199,7 +201,7 @@ def test_project_registers_agrees_with_dense(data):
     qubit_registers = [r for r in regs for _ in range(r.width)]
     qubits = [i for i, r in enumerate(qubit_registers) if r in measured]
     remainder, _ = dense_project(to_dense(a), qubits, to_dense(target))
-    assert to_dense(project_registers(a, target)).amplitudes == remainder.amplitudes
+    assert to_dense(project_registers(a, target)).same_values(remainder)
 
 
 # ---------------------------------------------------------- permute_qubits
@@ -207,7 +209,7 @@ def test_project_registers_agrees_with_dense(data):
 def test_permute_swap():
     state = basis_state("10")
     swapped = permute_qubits(state, [1, 0])
-    assert swapped.amplitudes == {"01": Fraction(1)}
+    assert swapped == DenseState(state.registers, {0b01: 1})
     assert permute_qubits(state, [0, 1]) == state
 
 
@@ -225,7 +227,7 @@ def test_permutation_invariance_of_symmetric_sectors():
             for _ in range(10):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                assert permute_qubits(state, perm).amplitudes == state.amplitudes
+                assert permute_qubits(state, perm) == state
 
 
 # ------------------------------------------------------------------ helpers
@@ -237,7 +239,7 @@ def test_proportionality():
     assert proportionality(DenseState(a.registers, {}), a) == 0
     assert proportionality(a, DenseState(a.registers, {})) is None
     c = dict(a.amplitudes)
-    c["100"] = Fraction(2)
+    c[0b100] = 2
     assert proportionality(DenseState(a.registers, c), a) is None
 
 

@@ -39,7 +39,7 @@ def _weights(target):
 
 def test_x0_k1_is_the_symmetric_pair():
     state = x0_state(1, *_regs(1))
-    assert sorted(to_dense(state).amplitudes) == ["01", "10"]
+    assert sorted(to_dense(state).amplitudes) == [0b01, 0b10]
     assert _weights(state) == (Fraction(1), Fraction(1))
     assert x0_beta_sq(1) == Fraction(1, 2)
 
@@ -62,7 +62,7 @@ def test_x0_normalization_identity(k):
 
 def test_x0_lies_in_the_k_sector():
     state = x0_state(3, *_regs(3))
-    assert all(s.count("1") == 3 for s in to_dense(state).amplitudes)
+    assert all(key.bit_count() == 3 for key in to_dense(state).amplitudes)
 
 
 def test_x0_rejects_degenerate_inputs():

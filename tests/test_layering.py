@@ -9,7 +9,8 @@ import them, so the engine never depends on its own checker.  The oracle's
 reach is one constant that dense owns; no function takes it as a setting.
 The benchmark's tracer rebinds package functions by name, so those names
 must exist.  In cli, only `main` turns a failure into stderr lines.
-protocol keeps no state between calls: its shape memo lives for one run.
+protocol and dense keep no state between calls: the shape memo lives for
+one run, and the oracle's weight masks for one expansion.
 """
 
 import ast
@@ -145,11 +146,10 @@ def name_of(node: ast.AST):
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
-def test_protocol_keeps_no_state_between_calls():
-    """`execute_plan` memoises step outcomes for one call only, so protocol
-    has no module-level container (`__all__` aside) and no function cache
-    that could carry outcomes from one run into the next."""
-    tree = parse("protocol")
+def module_state(module: str) -> tuple[list[str], list[str]]:
+    """The module-level containers (`__all__` aside) and the function
+    caches of a module: what could carry values from one call into the next."""
+    tree = parse(module)
     shared = []
     for node in tree.body:
         if isinstance(node, ast.Assign):
@@ -165,7 +165,21 @@ def test_protocol_keeps_no_state_between_calls():
             shared.append(ast.unparse(node))
     caches = [ast.unparse(n) for n in ast.walk(tree)
               if name_of(n) in {"cache", "lru_cache"}]
-    assert (shared, caches) == ([], [])
+    return shared, caches
+
+
+def test_protocol_keeps_no_state_between_calls():
+    """`execute_plan` memoises step outcomes for one call only, so protocol
+    has no module-level container and no function cache that could carry
+    outcomes from one run into the next."""
+    assert module_state("protocol") == ([], [])
+
+
+def test_dense_keeps_no_state_between_calls():
+    """The oracle enumerates weight masks per call: dense has no
+    module-level container and no function cache that would grow for the
+    life of the process."""
+    assert module_state("dense") == ([], [])
 
 
 def test_bench_tracer_names_exist():

@@ -335,6 +335,16 @@ def test_incremental_k2_example():
     assert all(r.n == 5 for r in plan.inputs)
 
 
+@pytest.mark.parametrize("generate", [gen_incremental_plan, gen_exponential_plan])
+def test_generators_refuse_plans_past_the_cycle_limit(generate, monkeypatch):
+    """n - 2k - 1 cycles for both schedules: at the limit a plan is built,
+    one qubit past it none is."""
+    monkeypatch.setattr(zstates.protocol, "MAX_CYCLES", 5)
+    assert len(generate(1, 8).cycles) == 5
+    with pytest.raises(ValueError, match="6 cycles, more than the limit of 5"):
+        generate(1, 9)
+
+
 # ------------------------------------------------------- exponential plan
 
 def test_exponential_w10_path():
