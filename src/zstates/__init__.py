@@ -34,7 +34,6 @@ from .dense import (
     DENSE_CAP,
     DenseState,
     dense_inner,
-    dense_norm_sq,
     dense_project,
     dense_z,
     permute_qubits,

@@ -181,7 +181,8 @@ def z_state(k: int, n: int, reg: Union[RegisterId, str]) -> BlockSum:
         raise ValueError(f"register width {reg.width} does not match n={n}")
     if not 0 <= k <= n:
         raise ValueError(f"excitation count must lie in 0..{n}, got {k}")
-    return block_sum([(1, BlockProduct.of((ZBlock(reg, k),)))])
+    # One term with coefficient 1 on one block is already canonical.
+    return BlockSum(((Fraction(1), BlockProduct((ZBlock(reg, k),))),))
 
 
 def registers_of(a: BlockSum) -> tuple[RegisterId, ...]:

@@ -9,6 +9,7 @@ document, 3 invalid plan, 4 execution error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -33,6 +34,7 @@ from .protocol import (
     InvalidPlanError,
     PlanExecutionError,
     ProtocolPlan,
+    ResourceLedger,
     StateRef,
     execute_plan,
 )
@@ -117,6 +119,11 @@ def _state_str(ref: StateRef) -> str:
     return f"Z_{ref.k}({int_str(ref.n)})"
 
 
+def _ledger_items(ledger: ResourceLedger) -> list[tuple[str, int]]:
+    """The ledger's fields and values, in the order both reports print them."""
+    return [(f.name, getattr(ledger, f.name)) for f in dataclasses.fields(ledger)]
+
+
 def report_to_json(plan: ProtocolPlan, report: ExecutionReport) -> dict:
     """Machine-readable report; every probability is an exact fraction."""
     return {
@@ -137,21 +144,14 @@ def report_to_json(plan: ProtocolPlan, report: ExecutionReport) -> dict:
             for i, r in enumerate(report.cycles)
         ],
         "cumulative_probability": frac_to_json(report.cumulative_success),
-        "ledger": {
-            "input_qubits": report.ledger.input_qubits,
-            "ancilla_qubits": report.ledger.ancilla_qubits,
-            "consumed_qubits": report.ledger.consumed_qubits,
-            "cycles": report.ledger.cycles,
-            "output_qubits": report.ledger.output_qubits,
-            "depth": report.ledger.depth,
-        },
+        "ledger": dict(_ledger_items(report.ledger)),
     }
 
 
 def report_to_text(plan: ProtocolPlan, report: ExecutionReport) -> str:
     """Human-readable report; decimals are labelled approximate with `~`."""
     lines = [f"plan: k={plan.k} cycles={len(plan.cycles)} "
-             f"target=Z_{plan.target[0]}({plan.target[1]})"]
+             f"target=Z_{plan.k}({plan.target_n})"]
     for i, r in enumerate(report.cycles):
         oracle = "  [oracle ok]" if r.oracle_checked else ""
         lines.append(
@@ -160,14 +160,11 @@ def report_to_text(plan: ProtocolPlan, report: ExecutionReport) -> str:
             f"{_state_str(r.produced)}[{r.produced.id}]  "
             f"p = {_frac_str(r.probability)} "
             f"(~ {approx_decimal(r.probability)}){oracle}")
-    led = report.ledger
     lines.append("cumulative success probability: "
                  f"{_frac_str(report.cumulative_success)} "
                  f"(~ {approx_decimal(report.cumulative_success)})")
-    lines.append(f"ledger: input_qubits={led.input_qubits} "
-                 f"ancilla_qubits={led.ancilla_qubits} "
-                 f"consumed_qubits={led.consumed_qubits} cycles={led.cycles} "
-                 f"output_qubits={led.output_qubits} depth={led.depth}")
+    lines.append("ledger: " + " ".join(
+        [f"{name}={int_str(value)}" for name, value in _ledger_items(report.ledger)]))
     lines.append(f"final: {_state_str(report.final)}")
     return "\n".join(lines) + "\n"
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .blocks import BlockSum, RegisterId, registers_of
+from .blocks import BlockSum, registers_of
 
 __all__ = [
     "DENSE_CAP",
@@ -27,7 +27,6 @@ __all__ = [
     "dense_z",
     "to_dense",
     "dense_inner",
-    "dense_norm_sq",
     "dense_project",
     "permute_qubits",
     "proportionality",
@@ -39,16 +38,16 @@ DENSE_CAP = 22
 
 @dataclass(frozen=True)
 class DenseState:
-    """Sparse map from basis-state bitmasks over the concatenated registers
-    to int amplitudes, all multiplied by one exact `scale`.
+    """Sparse map from basis-state bitmasks of `width` qubits to int
+    amplitudes, all multiplied by one exact `scale`.
 
     The form is canonical: construction divides out the amplitudes' common
     factor and makes the scale positive (1 for the zero state).  With only
     nonzero amplitudes stored, `==` then compares exact values, scale
-    included.
+    included, of states of equal width.
     """
 
-    registers: tuple[RegisterId, ...]
+    width: int
     amplitudes: dict[int, int]
     scale: Fraction = Fraction(1)
 
@@ -66,16 +65,8 @@ class DenseState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "scale", scale)
 
-    @property
-    def width(self) -> int:
-        return sum(r.width for r in self.registers)
-
     def is_zero(self) -> bool:
         return not self.amplitudes
-
-    def same_values(self, other: DenseState) -> bool:
-        """Equal exact values on every basis state key, register layouts aside."""
-        return self.scale == other.scale and self.amplitudes == other.amplitudes
 
 
 def _weight_masks(n: int, k: int) -> list[int]:
@@ -117,7 +108,7 @@ def dense_z(k: int, n: int) -> DenseState:
     _check_cap(n)
     if not 0 <= k <= n:
         raise ValueError(f"excitation count must lie in 0..{n}, got {k}")
-    return DenseState((RegisterId("q", n),), dict.fromkeys(_weight_masks(n, k), 1))
+    return DenseState(n, dict.fromkeys(_weight_masks(n, k), 1))
 
 
 def to_dense(a: BlockSum) -> DenseState:
@@ -127,8 +118,7 @@ def to_dense(a: BlockSum) -> DenseState:
     gcd of the coefficients' numerators over the lcm of their denominators,
     so every term's amplitude is an int.
     """
-    regs = registers_of(a)
-    width = sum(r.width for r in regs)
+    width = sum(r.width for r in registers_of(a))
     _check_cap(width)
     common = math.gcd(*[c.numerator for c, _ in a.terms])
     denominator = math.lcm(*[c.denominator for c, _ in a.terms])
@@ -144,7 +134,7 @@ def to_dense(a: BlockSum) -> DenseState:
             keys = [high | (m << shift) for high in keys for m in masks]
         amp = coeff.numerator * (denominator // coeff.denominator) // common
         amps.update(dict.fromkeys(keys, amp))
-    return DenseState(regs, amps, Fraction(common, denominator))
+    return DenseState(width, amps, Fraction(common, denominator))
 
 
 def _sum_sq(amplitudes: dict[int, int]) -> int:
@@ -154,17 +144,13 @@ def _sum_sq(amplitudes: dict[int, int]) -> int:
 
 def dense_inner(a: DenseState, b: DenseState) -> Fraction:
     """Sum over basis states of the product of amplitudes (real, no conjugation)."""
-    if a.registers != b.registers:
-        raise ValueError("dense inner product requires identical register layouts")
+    if a.width != b.width:
+        raise ValueError("dense inner product requires equal widths")
     if len(a.amplitudes) > len(b.amplitudes):
         a, b = b, a
     other = b.amplitudes
     total = sum(v * other[key] for key, v in a.amplitudes.items() if key in other)
     return a.scale * b.scale * total
-
-
-def dense_norm_sq(a: DenseState) -> Fraction:
-    return a.scale * a.scale * _sum_sq(a.amplitudes)
 
 
 def dense_project(state: DenseState, qubits: Sequence[int],
@@ -213,8 +199,7 @@ def dense_project(state: DenseState, qubits: Sequence[int],
     rem = {y: v for y, v in rem.items() if v}
     weight = Fraction(_sum_sq(rem),
                       _sum_sq(state.amplitudes) * _sum_sq(overlaps))
-    remainder = DenseState((RegisterId("rest", n_keep),), rem,
-                           state.scale * target.scale)
+    remainder = DenseState(n_keep, rem, state.scale * target.scale)
     return remainder, weight
 
 
@@ -225,7 +210,7 @@ def permute_qubits(state: DenseState, perm: Sequence[int]) -> DenseState:
     low, high, low_mask, split = _mover(perm)
     amps = {low[key & low_mask] | high[key >> split]: v
             for key, v in state.amplitudes.items()}
-    return DenseState(state.registers, amps, state.scale)
+    return DenseState(state.width, amps, state.scale)
 
 
 def proportionality(a: DenseState, b: DenseState) -> Optional[Fraction]:

@@ -190,8 +190,7 @@ def document_to_plan(doc: PlanDocument) -> ProtocolPlan:
         raise InvalidPlanError([str(exc)]) from exc
     return ProtocolPlan(doc.k, tuple(StateRef(*s) for s in doc.inputs),
                         tuple(StateRef(*s) for s in doc.ancillas),
-                        tuple(Cycle(*c) for c in doc.cycles),
-                        (doc.k, doc.target_n))
+                        tuple(Cycle(*c) for c in doc.cycles), doc.target_n)
 
 
 def frac_to_json(value: Fraction) -> dict[str, int]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .blocks import BlockProduct, BlockSum, RegisterId, ZBlock, block_sum, z_state
+from .blocks import BlockSum, RegisterId, z_state
 from .combinatorics import int_str
 from .distill import DistillationError, DistillOutcome, distill_step
 
@@ -75,7 +75,7 @@ class ProtocolPlan:
     inputs: tuple[StateRef, ...]
     ancillas: tuple[StateRef, ...]
     cycles: tuple[Cycle, ...]
-    target: tuple[int, int]  # (k, n)
+    target_n: int  # the target is Z_k(target_n)
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,6 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
     k = plan.k
     if k < 1:
         v.append(f"plan k must be >= 1, got {int_str(k)}")
-    if plan.target[0] != k:
-        v.append(f"target excitation count {int_str(plan.target[0])} "
-                 f"!= plan k {int_str(k)}")
     refs: dict[str, StateRef] = {}
     for origin, declared in (("input", plan.inputs), ("ancilla", plan.ancillas)):
         for ref in declared:
@@ -201,11 +198,12 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
         depth[final.id] = 1 + max(depth.get(left.id, 0), depth.get(right.id, 0))
         producer[final.id] = cyc
     if plan.cycles:
-        if final is not None and (final.k, final.n) != plan.target:
+        if final is not None and final.n != plan.target_n:
             v.append(f"final product {_z(final.k, final.n)} does not match "
-                     f"target {_z(*plan.target)}")
+                     f"target {_z(k, plan.target_n)}")
     else:
-        final = next((r for r in plan.inputs if (r.k, r.n) == plan.target), None)
+        final = next((r for r in plan.inputs if (r.k, r.n) == (k, plan.target_n)),
+                     None)
         if final is None:
             v.append("plan with no cycles has no input matching the target")
     return _Resolved(refs, depth, producer, final, v)
@@ -262,72 +260,55 @@ def critical_path(plan: ProtocolPlan) -> list[int]:
     return path
 
 
-def _shape(state: BlockSum) -> tuple:
-    """A canonical form without its register labels: each term's
-    coefficient, and the widths and excitations of its blocks."""
-    return tuple([(c, tuple([(b.register.width, b.excitations) for b in p.blocks]))
-                  for c, p in state.terms])
-
-
-def _relabel(state: BlockSum, label: str) -> BlockSum:
-    """A sum over one register, with that register renamed `label`."""
-    return block_sum([
-        (c, BlockProduct(tuple([ZBlock(RegisterId(label, b.register.width),
-                                       b.excitations) for b in p.blocks])))
-        for c, p in state.terms])
-
-
 def execute_plan(plan: ProtocolPlan,
                  oracle: Optional[Oracle] = None) -> ExecutionReport:
     """Run every cycle in order, symbolically, with exact probabilities.
 
     Raises InvalidPlanError, listing every violation, for a plan that does
-    not validate.  Each distinct step shape is derived once per call: a
-    cycle whose operands equal an earlier cycle's in canonical form,
-    register labels aside, reuses that outcome, relabelled to its own
-    produced id.  An outcome is kept only while a later cycle on the same
-    operand sizes remains, and a base state is built when a cycle
-    consumes it.
-    With an `oracle`, each cycle's outcome is also checked by it: a cycle
-    it reports problems for fails, one it returns None for (beyond its
-    reach) stays unchecked.  Errors name the failing cycle index.
+    not validate.  Distilling Z_k(n1) with Z_k(n2) leaves exactly the unit
+    state Z_k(n1 + n2 - 2k), so every state of a plan is the unit Z_k(n)
+    on its own id, fixed by its size.  A cycle whose post state is not
+    that unit state fails.  So each distinct pair of operand sizes is
+    derived once per call, and a later cycle on the same sizes reuses its
+    probability; a probability is kept only while such a cycle remains.
+    With an `oracle`, each cycle's outcome, its post state under the
+    cycle's own produced id, is also checked by it: a cycle it reports
+    problems for fails, one it returns None for (beyond its reach) stays
+    unchecked.  Errors name the failing cycle index.
     """
     resolved = _resolve_valid(plan)
-    refs = resolved.refs
-    states: dict[str, BlockSum] = {}  # products not yet consumed
+    refs, k = resolved.refs, plan.k
 
-    def state(ref: StateRef) -> BlockSum:
-        if ref.id in resolved.producer:
-            return states.pop(ref.id)
-        return z_state(ref.k, ref.n, RegisterId(ref.id, ref.n))
+    def unit(ref: StateRef) -> BlockSum:
+        return z_state(k, ref.n, RegisterId(ref.id, ref.n))
 
-    # Cycles left per (n_left, n_right); memo[sizes] = (shape, outcome).
+    # Cycles left per (n_left, n_right); memo[sizes] = probability.
     uses = Counter((refs[c.left].n, refs[c.right].n) for c in plan.cycles)
-    memo: dict[tuple[int, int], tuple[tuple, DistillOutcome]] = {}
+    memo: dict[tuple[int, int], Fraction] = {}
     results: list[CycleResult] = []
     for i, cyc in enumerate(plan.cycles):
-        left, right = refs[cyc.left], refs[cyc.right]
-        a, b = state(left), state(right)
-        sizes, shape = (left.n, right.n), (_shape(a), _shape(b))
+        left, right, produced = refs[cyc.left], refs[cyc.right], refs[cyc.produced]
+        sizes = (left.n, right.n)
         uses[sizes] -= 1
-        cached = memo.pop(sizes, None)
-        if cached is not None and cached[0] == shape:
-            outcome = DistillOutcome(_relabel(cached[1].post_state, cyc.produced),
-                                     cached[1].success_probability)
-        else:
+        probability = memo.pop(sizes, None)
+        outcome = None
+        if probability is None:
             try:
-                outcome = distill_step(a, b, out_label=cyc.produced)
+                outcome = distill_step(unit(left), unit(right), out_label=cyc.produced)
             except (ValueError, DistillationError) as exc:
                 raise PlanExecutionError(i, str(exc)) from exc
+            if outcome.post_state != unit(produced):
+                raise PlanExecutionError(
+                    i, f"post state is not the unit {_z(k, produced.n)}")
+            probability = outcome.success_probability
         if uses[sizes]:
-            memo[sizes] = (shape, outcome)
-        problems = None if oracle is None else oracle(plan.k, left.n, right.n, outcome)
+            memo[sizes] = probability
+        problems = None if oracle is None else oracle(
+            k, left.n, right.n, outcome or DistillOutcome(unit(produced), probability))
         if problems:
             raise PlanExecutionError(
                 i, "oracle disagreement: " + "; ".join(problems))
-        states[cyc.produced] = outcome.post_state
-        results.append(CycleResult(left, right, refs[cyc.produced],
-                                   outcome.success_probability,
+        results.append(CycleResult(left, right, produced, probability,
                                    problems is not None))
     # One reduction for the whole product, not one per cycle.
     probabilities = [r.probability for r in results]
@@ -335,7 +316,7 @@ def execute_plan(plan: ProtocolPlan,
                           math.prod([p.denominator for p in probabilities]))
     return ExecutionReport(tuple(results), cumulative,
                            _ledger(plan, resolved), resolved.final,
-                           state(resolved.final))
+                           unit(resolved.final))
 
 
 def check_cycle_count(cycles: int) -> None:
@@ -363,37 +344,14 @@ def gen_exact_plan(k: int, n1: int, n2: int) -> ProtocolPlan:
     inputs = (StateRef("in1", k, n1), StateRef("in2", k, n2))
     cycles = (Cycle("anc", "in1", "mid"), Cycle("mid", "in2", "out"))
     return ProtocolPlan(k, inputs, (StateRef("anc", k, 4 * k),), cycles,
-                        (k, n1 + n2))
+                        n1 + n2)
 
 
-def gen_incremental_plan(k: int, n_target: int) -> ProtocolPlan:
-    """Grow one qubit per cycle from a supply of Z_k(2k+1) base states.
-
-    Cycle i distills the current Z_k(2k+i) with a fresh base state into
-    Z_k(2k+i+1); n_target - 2k - 1 cycles in total.  The smallest target,
-    n_target = 2k+1, is a base state itself and needs no cycles.
-    """
-    base_n = 2 * k + 1
-    _check_generator_domain(k, n_target, "n_target", base_n)
-    steps = n_target - base_n
-    check_cycle_count(steps)
-    bases = tuple(StateRef(f"base{i + 1}", k, base_n)
-                  for i in range(max(1, steps + 1)))
-    cycles = tuple(Cycle(f"s{i}" if i else "base1", f"base{i + 2}", f"s{i + 1}")
-                   for i in range(steps))
-    return ProtocolPlan(k, bases, (), cycles, (k, n_target))
-
-
-def gen_exponential_plan(k: int, n_target: int) -> ProtocolPlan:
-    """Double the added-qubit span per layer, then fine-tune by +1 steps.
-
-    Pairing two equal Z_k(2k+s) states yields Z_k(2k+2s), so a balanced
-    tree reaches span s = 2**m at dependency depth m using 2**m - 1 cycles.
-    The largest power of two not exceeding n_target - 2k is built first
-    (doubling has the larger per-cycle yield); any remaining gap is closed
-    with incremental cycles, one fresh base state each.  Total cycle count
-    is linear in the span; the dependency depth is what stays logarithmic.
-    """
+def _grown_plan(k: int, n_target: int, doubling: bool) -> ProtocolPlan:
+    """Reach Z_k(n_target) from Z_k(2k+1) base states: with `doubling`, a
+    balanced tree first builds the largest power-of-two span that fits;
+    the rest of the span is closed by +1 cycles, one fresh base state each.
+    A span of n_target - 2k takes span - 1 cycles either way."""
     base_n = 2 * k + 1
     _check_generator_domain(k, n_target, "n_target", base_n)
     span = n_target - 2 * k
@@ -412,8 +370,31 @@ def gen_exponential_plan(k: int, n_target: int) -> ProtocolPlan:
     def build(s: int) -> str:
         return fresh_base() if s == 1 else join(build(s // 2), build(s // 2))
 
-    top = 1 << (span.bit_length() - 1)
+    top = 1 << (span.bit_length() - 1) if doubling else 1
     current = build(top)
     for _ in range(span - top):
         current = join(current, fresh_base())
-    return ProtocolPlan(k, tuple(bases), (), tuple(cycles), (k, n_target))
+    return ProtocolPlan(k, tuple(bases), (), tuple(cycles), n_target)
+
+
+def gen_incremental_plan(k: int, n_target: int) -> ProtocolPlan:
+    """Grow one qubit per cycle from a supply of Z_k(2k+1) base states.
+
+    Cycle i distills the current Z_k(2k+i) with a fresh base state into
+    Z_k(2k+i+1); n_target - 2k - 1 cycles in total.  The smallest target,
+    n_target = 2k+1, is a base state itself and needs no cycles.
+    """
+    return _grown_plan(k, n_target, False)
+
+
+def gen_exponential_plan(k: int, n_target: int) -> ProtocolPlan:
+    """Double the added-qubit span per layer, then fine-tune by +1 steps.
+
+    Pairing two equal Z_k(2k+s) states yields Z_k(2k+2s), so a balanced
+    tree reaches span s = 2**m at dependency depth m using 2**m - 1 cycles.
+    The largest power of two not exceeding n_target - 2k is built first
+    (doubling has the larger per-cycle yield); any remaining gap is closed
+    with incremental cycles, one fresh base state each.  Total cycle count
+    is linear in the span; the dependency depth is what stays logarithmic.
+    """
+    return _grown_plan(k, n_target, True)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from conftest import fresh_outcome
 from zstates import (
+    BlockSum,
     NotCollectibleError,
     RegisterId,
     binom,
@@ -23,6 +24,7 @@ from zstates import (
     gen_incremental_plan,
     norm_sq,
     critical_path,
+    split_register,
     success_probability,
     tensor,
     validate_plan,
@@ -33,9 +35,9 @@ from zstates.cli import main
 from zstates.plandoc import parse_document
 from zstates.verify import (
     check_distillation_cell,
-    composition_cell_matches,
     distillation_cells,
     sweep_bit_flip,
+    sweep_composition,
     sweep_distillation,
     sweep_permutations,
     sweep_selections,
@@ -52,12 +54,8 @@ def _finish(label: str, failures: list[str]) -> None:
 
 def test_01_composition_identity_full_range():
     """Splitting Z_k(N) at any 0 <= M <= N preserves every dense amplitude."""
-    failures = []
-    for n in range(13):
-        for k in range(n + 1):
-            for m in range(n + 1):
-                if not composition_cell_matches(k, n, m):
-                    failures.append(f"(N={n}, k={k}, M={m})")
+    res = sweep_composition(12)
+    failures = res.failures + ([] if res.cells == 819 else [f"{res.cells} cells"])
     _finish("composition identity, N <= 12, all k and M", failures)
 
 
@@ -248,3 +246,16 @@ def test_11_permutation_negative_control(monkeypatch):
     res = sweep_permutations(4, SEED)
     failures = [] if res.failures and res.cells == 14 else [f"{res}"]
     _finish("asymmetric state fails the permutation sweep", failures)
+
+
+def test_12_composition_negative_control(monkeypatch):
+    """The composition sweep compares whole expansions: a split that loses
+    one term, of however many, fails every cell."""
+    def lossy(*args):
+        return BlockSum(split_register(*args).terms[1:])
+
+    monkeypatch.setattr(zstates.verify, "split_register", lossy)
+    res = sweep_composition(12)
+    failures = ([] if len(res.failures) == res.cells == 819
+                else [f"{res.cells} cells, {len(res.failures)} failures"])
+    _finish("a split that drops a term fails the composition sweep", failures)

@@ -205,6 +205,30 @@ def test_reports_past_the_int_digit_limit(tmp_path, capsys):
     assert f" {digits} digits" in err
 
 
+def test_ledger_sums_past_the_int_digit_limit(tmp_path, capsys):
+    """Two idle ancillas of 4,300 nines each sum past `str(int)`'s limit:
+    the text report spells the ledger exactly, the JSON report refuses it
+    with exit 4, and the graph needs no sums."""
+    n = 10 ** 4300 - 1
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "mode": "explicit", "k": 1, "target_n": 4,
+        "inputs": [{"id": "a", "k": 1, "n": 3}, {"id": "b", "k": 1, "n": 3}],
+        "ancillas": [{"id": "x", "k": 1, "n": n}, {"id": "y", "k": 1, "n": n}],
+        "cycles": [{"left": "a", "right": "b", "produced": "out"}],
+    }))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, err) == (0, "")
+    ancillas = str(Decimal(2 * n))
+    assert len(ancillas) == 4301
+    assert f" ancilla_qubits={ancillas} " in out
+
+    code, out, err = run_cli(capsys, "run", str(path), "--report", "json")
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1
+    assert run_cli(capsys, "graph", str(path))[0] == 0
+
+
 def test_python_m_zstates():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -151,7 +151,7 @@ def test_inner_and_proportionality_match_reference(data):
     if not b.is_zero():
         assert dense_inner(da, db) == Ref.dense_inner(ra, rb) == inner_product(a, b)
     assert proportionality(da, db) == Ref.proportionality(ra, rb)
-    scaled = DenseState(da.registers, da.amplitudes, da.scale * Fraction(-2, 3))
+    scaled = DenseState(da.width, da.amplitudes, da.scale * Fraction(-2, 3))
     assert proportionality(scaled, da) == Ref.proportionality(
         {s: Fraction(-2, 3) * v for s, v in ra.items()}, ra) == Fraction(-2, 3)
 
@@ -232,14 +232,14 @@ def test_an_amplitude_or_scale_off_flips_the_verdicts():
 
     amps = dict(joint.amplitudes)
     amps[int("11000" + "000011", 2)] += 1  # measured bits 1100, in the target
-    off_by_one = DenseState(joint.registers, amps, joint.scale)
+    off_by_one = DenseState(joint.width, amps, joint.scale)
     assert values(off_by_one) != values(joint)
     bad_remainder, bad_weight = dense_project(off_by_one, qubits, target)
     assert proportionality(bad_remainder, z_out) is None
     assert bad_weight != weight
 
-    halved = DenseState(target.registers, target.amplitudes, target.scale / 2)
+    halved = DenseState(target.width, target.amplitudes, target.scale / 2)
     assert values(halved) != values(target)
     halved_remainder, _ = dense_project(joint, qubits, halved)
     assert proportionality(halved_remainder, z_out) == ratio / 2
-    assert not halved_remainder.same_values(remainder)
+    assert halved_remainder != remainder

@@ -11,7 +11,7 @@ from zstates import (
     DistillOutcome,
     NotCollectibleError,
     RegisterId,
-    dense_norm_sq,
+    dense_inner,
     distill_step,
     norm_sq,
     success_probability,
@@ -57,7 +57,8 @@ def test_x0_normalization_identity(k):
     assert norm_sq(state) * x0_beta_sq(k) == 1
     assert _weights(state) == x0_alpha(k)
     if 2 * k <= 14:
-        assert dense_norm_sq(to_dense(state)) * x0_beta_sq(k) == 1
+        d = to_dense(state)
+        assert dense_inner(d, d) * x0_beta_sq(k) == 1
 
 
 def test_x0_lies_in_the_k_sector():

@@ -9,8 +9,10 @@ import them, so the engine never depends on its own checker.  The oracle's
 reach is one constant that dense owns; no function takes it as a setting.
 The benchmark's tracer rebinds package functions by name, so those names
 must exist.  In cli, only `main` turns a failure into stderr lines.
-protocol and dense keep no state between calls: the shape memo lives for
-one run, and the oracle's weight masks for one expansion.
+protocol and dense keep no state between calls: the per-size probability
+memo lives for one run, and the oracle's weight masks for one expansion.
+Every plan state is the unit Z_k(n) on its id, so protocol reads of blocks
+only the sum type, the register id and z_state.
 """
 
 import ast
@@ -180,6 +182,13 @@ def test_dense_keeps_no_state_between_calls():
     module-level container and no function cache that would grow for the
     life of the process."""
     assert module_state("dense") == ([], [])
+
+
+def test_protocol_builds_only_unit_states():
+    imported = {alias.name for node in ast.walk(parse("protocol"))
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module == "blocks" for alias in node.names}
+    assert imported <= {"BlockSum", "RegisterId", "z_state"}
 
 
 def test_bench_tracer_names_exist():

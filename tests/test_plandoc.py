@@ -47,7 +47,7 @@ def test_explicit_mode_roundtrip():
 def test_explicit_document_preserves_any_plan():
     plan = gen_exponential_plan(1, 9)
     doc = PlanDocument(
-        k=plan.k, target_n=plan.target[1], mode="explicit",
+        k=plan.k, target_n=plan.target_n, mode="explicit",
         inputs=tuple((r.id, r.k, r.n) for r in plan.inputs),
         ancillas=tuple((r.id, r.k, r.n) for r in plan.ancillas),
         cycles=tuple((c.left, c.right, c.produced) for c in plan.cycles),

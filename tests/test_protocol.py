@@ -33,7 +33,7 @@ def single_cycle_plan(k=1, n1=3, n2=3):
     a = StateRef("a", k, n1)
     b = StateRef("b", k, n2)
     return ProtocolPlan(k, (a, b), (), (Cycle("a", "b", "out"),),
-                        (k, n1 + n2 - 2 * k))
+                        n1 + n2 - 2 * k)
 
 
 # ------------------------------------------------------------- validation
@@ -47,7 +47,7 @@ def test_generated_plans_are_valid():
 def test_validate_flags_small_operand():
     a = StateRef("a", 1, 1)
     b = StateRef("b", 1, 3)
-    plan = ProtocolPlan(1, (a, b), (), (Cycle("a", "b", "out"),), (1, 2))
+    plan = ProtocolPlan(1, (a, b), (), (Cycle("a", "b", "out"),), 2)
     assert any("n < 2k" in v for v in validate_plan(plan))
 
 
@@ -55,7 +55,7 @@ def test_validate_flags_double_consumption():
     a = StateRef("a", 1, 3)
     b = StateRef("b", 1, 3)
     plan = ProtocolPlan(1, (a, b), (),
-                        (Cycle("a", "b", "c"), Cycle("a", "c", "d")), (1, 5))
+                        (Cycle("a", "b", "c"), Cycle("a", "c", "d")), 5)
     assert any("already consumed" in v for v in validate_plan(plan))
 
 
@@ -63,29 +63,29 @@ def test_validate_flags_unknown_operand_and_future_product():
     a = StateRef("a", 1, 3)
     b = StateRef("b", 1, 3)
     plan = ProtocolPlan(1, (a, b), (),
-                        (Cycle("ghost", "a", "x"), Cycle("b", "x", "y")), (1, 6))
+                        (Cycle("ghost", "a", "x"), Cycle("b", "x", "y")), 6)
     assert any("not an input" in v for v in validate_plan(plan))
     future = ProtocolPlan(1, (a, b, StateRef("c", 1, 3)), (),
-                          (Cycle("a", "x", "y"), Cycle("b", "c", "x")), (1, 4))
+                          (Cycle("a", "x", "y"), Cycle("b", "c", "x")), 4)
     assert any("'x' is not an input" in v for v in validate_plan(future))
 
 
 def test_validate_flags_k_mismatch():
     a = StateRef("a", 2, 5)
     b = StateRef("b", 2, 5)
-    plan = ProtocolPlan(1, (a, b), (), (Cycle("a", "b", "out"),), (1, 8))
+    plan = ProtocolPlan(1, (a, b), (), (Cycle("a", "b", "out"),), 8)
     assert any("plan k" in v for v in validate_plan(plan))
 
 
 def test_validate_flags_target_mismatch():
     plan = single_cycle_plan()
-    bad = ProtocolPlan(plan.k, plan.inputs, (), plan.cycles, (1, 5))
+    bad = ProtocolPlan(plan.k, plan.inputs, (), plan.cycles, 5)
     assert any("does not match target" in v for v in validate_plan(bad))
 
 
 def test_validate_flags_duplicate_and_reused_ids():
     a = StateRef("a", 1, 3)
-    plan = ProtocolPlan(1, (a, a), (), (Cycle("a", "a", "a"),), (1, 4))
+    plan = ProtocolPlan(1, (a, a), (), (Cycle("a", "a", "a"),), 4)
     violations = validate_plan(plan)
     assert any("duplicate state id" in v for v in violations)
     assert any("already in use" in v for v in violations)
@@ -93,22 +93,22 @@ def test_validate_flags_duplicate_and_reused_ids():
 
 def test_validate_empty_plan_needs_matching_input():
     a = StateRef("a", 1, 3)
-    ok = ProtocolPlan(1, (a,), (), (), (1, 3))
+    ok = ProtocolPlan(1, (a,), (), (), 3)
     assert validate_plan(ok) == []
-    bad = ProtocolPlan(1, (a,), (), (), (1, 4))
+    bad = ProtocolPlan(1, (a,), (), (), 4)
     assert any("no input matching" in v for v in validate_plan(bad))
 
 
 def test_validate_flags_states_with_more_excitations_than_qubits():
     """Z_2(1) has no basis string: a plan that declares it, even unconsumed,
     does not validate, so execution never meets it."""
-    lone = ProtocolPlan(2, (StateRef("a", 2, 1),), (), (), (2, 1))
+    lone = ProtocolPlan(2, (StateRef("a", 2, 1),), (), (), 1)
     assert validate_plan(lone) == ["state 'a' has k=2 > n=1"]
     with pytest.raises(InvalidPlanError):
         execute_plan(lone)
     plan = single_cycle_plan(k=2, n1=5, n2=5)
     spare = ProtocolPlan(2, plan.inputs, (StateRef("c", 2, 1),), plan.cycles,
-                         plan.target)
+                         plan.target_n)
     assert validate_plan(spare) == ["state 'c' has k=2 > n=1"]
 
 
@@ -204,7 +204,7 @@ AWKWARD = ProtocolPlan(  # ids that meet distill_step's own /sel and /keep label
     1, (StateRef("x", 1, 3), StateRef("x/sel", 1, 3), StateRef("x/keep", 1, 3)),
     (StateRef("x/sel/keep", 1, 3),),
     (Cycle("x", "x/sel", "x/sel/sel"), Cycle("x/keep", "x/sel/keep", "x+x/sel"),
-     Cycle("x/sel/sel", "x+x/sel", "out")), (1, 6))
+     Cycle("x/sel/sel", "x+x/sel", "out")), 6)
 
 
 MEMO_PLANS = {**{f"exponential-k{k}-n{n}": gen_exponential_plan(k, n)
@@ -221,9 +221,10 @@ def test_memoised_run_matches_fresh_derivations(name):
 
 
 def test_memo_tells_operands_apart_by_coefficient(monkeypatch):
-    """A hit needs equal canonical forms, coefficients included, not only
-    equal sizes: here cycles 1 and 2 both join a Z_1(4) with a Z_1(3), but
-    only cycle 1's Z_1(4) is a product, and every product is doubled."""
+    """Equal sizes are not enough for a product to pass as the unit state:
+    with every product doubled, cycle 0's post state 2 * Z_1(4) is not the
+    unit Z_1(4) its size names, and the run fails there, before cycle 1
+    would join it with a Z_1(3) as cycle 2 joins the unit input Z_1(4)."""
     def doubled(a, b, **kwargs):
         out = distill_step(a, b, **kwargs)
         return DistillOutcome(block_sum([(2 * c, p) for c, p in out.post_state.terms]),
@@ -233,10 +234,10 @@ def test_memo_tells_operands_apart_by_coefficient(monkeypatch):
     ids = {"a": 3, "b": 3, "c": 4, "d": 3, "e": 3}
     plan = ProtocolPlan(1, tuple(StateRef(i, 1, n) for i, n in ids.items()), (),
                         (Cycle("a", "b", "p"), Cycle("p", "d", "q"),
-                         Cycle("c", "e", "r")), (1, 5))
-    report = execute_plan(plan)
-    assert (report.cycles, report.cumulative_success, report.final_state) == \
-        fresh_run(plan, doubled)
+                         Cycle("c", "e", "r")), 5)
+    with pytest.raises(PlanExecutionError,
+                       match=r"^cycle 0: post state is not the unit Z_1\(4\)$"):
+        execute_plan(plan)
 
 
 def test_each_shape_is_derived_once(monkeypatch):
@@ -256,7 +257,7 @@ def test_each_shape_is_derived_once(monkeypatch):
 def test_execute_rejects_invalid_plan():
     a = StateRef("a", 1, 1)
     b = StateRef("b", 1, 3)
-    plan = ProtocolPlan(1, (a, b), (), (Cycle("a", "b", "out"),), (1, 2))
+    plan = ProtocolPlan(1, (a, b), (), (Cycle("a", "b", "out"),), 2)
     with pytest.raises(InvalidPlanError):
         execute_plan(plan)
 
@@ -333,6 +334,23 @@ def test_incremental_k2_example():
     plan = gen_incremental_plan(2, 8)
     assert len(plan.cycles) == 3
     assert all(r.n == 5 for r in plan.inputs)
+
+
+def incremental_loop(k, n_target):
+    """The incremental schedule as its own loop: base states base1.., and
+    cycle i joins s{i} (base1 first) with base{i+2} into s{i+1}."""
+    steps = n_target - 2 * k - 1
+    bases = tuple(StateRef(f"base{i + 1}", k, 2 * k + 1)
+                  for i in range(max(1, steps + 1)))
+    cycles = tuple(Cycle(f"s{i}" if i else "base1", f"base{i + 2}", f"s{i + 1}")
+                   for i in range(steps))
+    return ProtocolPlan(k, bases, (), cycles, n_target)
+
+
+def test_incremental_plan_is_the_exponential_tail_alone():
+    for k in range(1, 6):
+        for n in range(2 * k + 1, 2 * k + 61):
+            assert gen_incremental_plan(k, n) == incremental_loop(k, n)
 
 
 @pytest.mark.parametrize("generate", [gen_incremental_plan, gen_exponential_plan])
