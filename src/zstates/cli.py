@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -165,8 +166,8 @@ def report_to_text(plan: ProtocolPlan, report: ExecutionReport) -> str:
                  f"(~ {approx_decimal(report.cumulative_success)})")
     lines.append("ledger: " + " ".join(
         [f"{name}={int_str(value)}" for name, value in _ledger_items(report.ledger)]))
-    lines.append(f"final: {_state_str(report.final)}")
-    return "\n".join(lines) + "\n"
+    lines.append(f"final: {_state_str(report.final)}\n")
+    return "\n".join(lines)
 
 
 def _max_digits(obj) -> int:
@@ -221,15 +222,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         plan, check_distillation_cell if args.verify_with_oracle else None)
     if args.report == "json":
         payload = report_to_json(plan, report)
+        # json.dump writes the indented encoder's chunks as they come, where
+        # json.dumps would first hold them all in one list.
+        buf = io.StringIO()
         try:
-            text = json.dumps(payload, indent=2)
+            json.dump(payload, buf, indent=2)
         except ValueError as exc:
             raise _Exit(EXIT_RUNTIME,
                         f"cannot write the JSON report: an integer in it has "
                         f"{_max_digits(payload)} digits, past Python's "
                         f"{sys.get_int_max_str_digits()}-digit limit for "
                         f"writing ints") from exc
-        sys.stdout.write(text + "\n")
+        buf.write("\n")
+        sys.stdout.write(buf.getvalue())
     else:
         sys.stdout.write(report_to_text(plan, report))
     return EXIT_OK

@@ -41,5 +41,5 @@ def plan_to_dot(plan: ProtocolPlan) -> str:
         lines.append(f"  {node[cyc.left]} -> {proj};")
         lines.append(f"  {node[cyc.right]} -> {proj};")
         lines.append(f"  {proj} -> {node[out.id]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)

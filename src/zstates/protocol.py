@@ -5,21 +5,21 @@ nodes, and each cycle joins two states, named by id, into a third.  One
 pass resolves every id to its size, depth and producing cycle and collects
 the violations; validation, depth, critical path, ledger, execution and
 DOT export all read it.  Execution is purely symbolic and deterministic.
-Cycles act on disjoint fresh states (the dataflow rules enforce single
-consumption), so the probability that an entire plan succeeds is the
-product of its per-cycle success probabilities.
+Every cycle takes the same step, derived once per run; a cycle's success
+probability follows from the norms C(n, k) of its three states.  Cycles act
+on disjoint fresh states (the dataflow rules enforce single consumption),
+so the probability that an entire plan succeeds is the product of its
+per-cycle success probabilities, a product that telescopes.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .blocks import BlockSum, RegisterId, z_state
-from .combinatorics import int_str
+from .combinatorics import binom, int_str
 from .distill import DistillationError, DistillOutcome, distill_step
 
 __all__ = [
@@ -244,11 +244,15 @@ def _ledger(plan: ProtocolPlan, resolved: _Resolved) -> ResourceLedger:
 def critical_path(plan: ProtocolPlan) -> list[int]:
     """Qubit counts along the deepest dependency chain, base state first.
 
-    Raises InvalidPlanError for a plan that does not validate.
+    The chain ends at the final state, unless a product the final state does
+    not depend on lies deeper; its length is then still the ledger's depth
+    plus one.  Raises InvalidPlanError for a plan that does not validate.
     """
     resolved = _resolve_valid(plan)
     depth = resolved.depth
-    state = resolved.final
+    # max keeps the first of equals: the final state on a tie.
+    state = max([resolved.final, *(resolved.refs[i] for i in depth)],
+                key=lambda ref: depth.get(ref.id, 0))
     path = [state.n]
     while state.id in resolved.producer:
         cyc = resolved.producer[state.id]
@@ -260,18 +264,61 @@ def critical_path(plan: ProtocolPlan) -> list[int]:
     return path
 
 
+def _step_beta_sq(k: int) -> Fraction:
+    """beta_sq of the one step every cycle of a k plan takes.
+
+    By the distillation theorem, distilling the unit Z_k(n1) with the unit
+    Z_k(n2) leaves the unit Z_k(N), N = n1 + n2 - 2k, with probability
+    beta_sq * C(N, k) / (C(n1, k) * C(n2, k)) for every n1, n2 >= 2k: the
+    derivation does not depend on the widths.  So it runs once, at the
+    least widths, and a leftover that is not the unit Z_k(2k) fails cycle 0.
+    """
+    n = 2 * k
+    try:
+        outcome = distill_step(z_state(k, n, "a"), z_state(k, n, "b"),
+                               out_label="out")
+    except (ValueError, DistillationError) as exc:
+        raise PlanExecutionError(0, str(exc)) from exc
+    if outcome.post_state != z_state(k, n, "out"):
+        raise PlanExecutionError(0, f"post state is not the unit {_z(k, n)}")
+    return outcome.success_probability * binom(n, k)
+
+
+def _telescoped(plan: ProtocolPlan, resolved: _Resolved,
+                beta_sq: Fraction) -> Fraction:
+    """The product of every cycle's probability, reduced once.
+
+    A product's C(n, k) is a numerator of the cycle producing it and a
+    denominator of the cycle consuming it, so the product is beta_sq**c
+    times the C(n, k) of every product never consumed, over the C(n, k) of
+    every base state consumed.
+    """
+    consumed = {op for cyc in plan.cycles for op in (cyc.left, cyc.right)}
+    powers: dict[int, int] = {}  # the power of C(n, k) left, per size n
+    for ref in resolved.refs.values():
+        power = (ref.id in resolved.producer) - (ref.id in consumed)
+        if power:
+            powers[ref.n] = powers.get(ref.n, 0) + power
+    num = beta_sq.numerator ** len(plan.cycles)
+    den = beta_sq.denominator ** len(plan.cycles)
+    for n, power in powers.items():
+        if power > 0:
+            num *= binom(n, plan.k) ** power
+        elif power < 0:
+            den *= binom(n, plan.k) ** -power
+    return Fraction(num, den)
+
+
 def execute_plan(plan: ProtocolPlan,
                  oracle: Optional[Oracle] = None) -> ExecutionReport:
     """Run every cycle in order, symbolically, with exact probabilities.
 
     Raises InvalidPlanError, listing every violation, for a plan that does
-    not validate.  Distilling Z_k(n1) with Z_k(n2) leaves exactly the unit
-    state Z_k(n1 + n2 - 2k), so every state of a plan is the unit Z_k(n)
-    on its own id, fixed by its size.  A cycle whose post state is not
-    that unit state fails.  So each distinct pair of operand sizes is
-    derived once per call, and a later cycle on the same sizes reuses its
-    probability; a probability is kept only while such a cycle remains.
-    With an `oracle`, each cycle's outcome, its post state under the
+    not validate.  Every state of a plan is the unit Z_k(n) on its own id,
+    fixed by its size, so the step is derived once per call (see
+    `_step_beta_sq`), each cycle is sized by the norms C(n, k) of its three
+    states, and the cumulative probability telescopes (see `_telescoped`).
+    With an `oracle`, each cycle's outcome, its unit post state under the
     cycle's own produced id, is also checked by it: a cycle it reports
     problems for fails, one it returns None for (beyond its reach) stays
     unchecked.  Errors name the failing cycle index.
@@ -282,39 +329,22 @@ def execute_plan(plan: ProtocolPlan,
     def unit(ref: StateRef) -> BlockSum:
         return z_state(k, ref.n, RegisterId(ref.id, ref.n))
 
-    # Cycles left per (n_left, n_right); memo[sizes] = probability.
-    uses = Counter((refs[c.left].n, refs[c.right].n) for c in plan.cycles)
-    memo: dict[tuple[int, int], Fraction] = {}
+    # A plan without cycles derives nothing: beta_sq**0 is 1 whatever it is.
+    beta_sq = _step_beta_sq(k) if plan.cycles else Fraction(1)
+    num, den = beta_sq.numerator, beta_sq.denominator
     results: list[CycleResult] = []
     for i, cyc in enumerate(plan.cycles):
         left, right, produced = refs[cyc.left], refs[cyc.right], refs[cyc.produced]
-        sizes = (left.n, right.n)
-        uses[sizes] -= 1
-        probability = memo.pop(sizes, None)
-        outcome = None
-        if probability is None:
-            try:
-                outcome = distill_step(unit(left), unit(right), out_label=cyc.produced)
-            except (ValueError, DistillationError) as exc:
-                raise PlanExecutionError(i, str(exc)) from exc
-            if outcome.post_state != unit(produced):
-                raise PlanExecutionError(
-                    i, f"post state is not the unit {_z(k, produced.n)}")
-            probability = outcome.success_probability
-        if uses[sizes]:
-            memo[sizes] = probability
+        probability = Fraction(num * binom(produced.n, k),
+                               den * binom(left.n, k) * binom(right.n, k))
         problems = None if oracle is None else oracle(
-            k, left.n, right.n, outcome or DistillOutcome(unit(produced), probability))
+            k, left.n, right.n, DistillOutcome(unit(produced), probability))
         if problems:
             raise PlanExecutionError(
                 i, "oracle disagreement: " + "; ".join(problems))
         results.append(CycleResult(left, right, produced, probability,
                                    problems is not None))
-    # One reduction for the whole product, not one per cycle.
-    probabilities = [r.probability for r in results]
-    cumulative = Fraction(math.prod([p.numerator for p in probabilities]),
-                          math.prod([p.denominator for p in probabilities]))
-    return ExecutionReport(tuple(results), cumulative,
+    return ExecutionReport(tuple(results), _telescoped(plan, resolved, beta_sq),
                            _ledger(plan, resolved), resolved.final,
                            unit(resolved.final))
 

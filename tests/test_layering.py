@@ -9,8 +9,8 @@ import them, so the engine never depends on its own checker.  The oracle's
 reach is one constant that dense owns; no function takes it as a setting.
 The benchmark's tracer rebinds package functions by name, so those names
 must exist.  In cli, only `main` turns a failure into stderr lines.
-protocol and dense keep no state between calls: the per-size probability
-memo lives for one run, and the oracle's weight masks for one expansion.
+protocol and dense keep no state between calls: the one step derivation
+lives for one run, and the oracle's weight masks for one expansion.
 Every plan state is the unit Z_k(n) on its id, so protocol reads of blocks
 only the sum type, the register id and z_state.
 """
@@ -171,9 +171,9 @@ def module_state(module: str) -> tuple[list[str], list[str]]:
 
 
 def test_protocol_keeps_no_state_between_calls():
-    """`execute_plan` memoises step outcomes for one call only, so protocol
-    has no module-level container and no function cache that could carry
-    outcomes from one run into the next."""
+    """`execute_plan` derives the step once per call, so protocol has no
+    module-level container and no function cache that could carry an
+    outcome from one run into the next."""
     assert module_state("protocol") == ([], [])
 
 

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import zstates.distill
 import zstates.protocol
 import zstates.verify
 from zstates import (
@@ -25,6 +28,7 @@ from zstates import (
     z_state,
 )
 from zstates.blocks import RegisterId, block_sum
+from zstates.dense import DENSE_CAP
 from zstates.distill import DistillOutcome
 from zstates.verify import check_distillation_cell
 
@@ -152,6 +156,10 @@ def test_execute_oracle_verdicts():
 
 
 def test_oracle_run_derives_each_cycle_once(monkeypatch):
+    """The run derives the step once, at the least widths, and the oracle
+    checks each cycle's outcome without deriving it again: one call for
+    the two cycles of the exact plan, where one derivation per cycle
+    would make two."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -163,7 +171,8 @@ def test_oracle_run_derives_each_cycle_once(monkeypatch):
     plan = gen_exact_plan(1, 3, 3)
     report = execute_plan(plan, check_distillation_cell)
     assert all(c.oracle_checked for c in report.cycles)
-    assert len(calls) == len(plan.cycles) == 2
+    assert len(plan.cycles) == 2
+    assert len(calls) == 1
 
 
 def test_oracle_sees_every_cycle_under_its_own_id():
@@ -181,8 +190,8 @@ def test_oracle_sees_every_cycle_under_its_own_id():
 
 
 def fresh_run(plan, step=distill_step):
-    """Every cycle derived afresh, base states built up front: the loop the
-    memoised `execute_plan` must match exactly."""
+    """Every cycle derived afresh, base states built up front: the loop
+    `execute_plan` must match exactly."""
     refs = {r.id: r for r in (*plan.inputs, *plan.ancillas)}
     states = {r.id: z_state(r.k, r.n, RegisterId(r.id, r.n)) for r in refs.values()}
     results, cumulative = [], Fraction(1)
@@ -221,10 +230,10 @@ def test_memoised_run_matches_fresh_derivations(name):
 
 
 def test_memo_tells_operands_apart_by_coefficient(monkeypatch):
-    """Equal sizes are not enough for a product to pass as the unit state:
-    with every product doubled, cycle 0's post state 2 * Z_1(4) is not the
-    unit Z_1(4) its size names, and the run fails there, before cycle 1
-    would join it with a Z_1(3) as cycle 2 joins the unit input Z_1(4)."""
+    """Equal sizes are not enough for a state to pass as the unit state: with
+    every post state doubled, the one derivation leaves 2 * Z_1(2), not the
+    unit Z_1(2), and the run fails at cycle 0, before cycle 1 would join a
+    product with a Z_1(3) as cycle 2 joins the unit input Z_1(4)."""
     def doubled(a, b, **kwargs):
         out = distill_step(a, b, **kwargs)
         return DistillOutcome(block_sum([(2 * c, p) for c, p in out.post_state.terms]),
@@ -236,11 +245,13 @@ def test_memo_tells_operands_apart_by_coefficient(monkeypatch):
                         (Cycle("a", "b", "p"), Cycle("p", "d", "q"),
                          Cycle("c", "e", "r")), 5)
     with pytest.raises(PlanExecutionError,
-                       match=r"^cycle 0: post state is not the unit Z_1\(4\)$"):
+                       match=r"^cycle 0: post state is not the unit Z_1\(2\)$"):
         execute_plan(plan)
 
 
 def test_each_shape_is_derived_once(monkeypatch):
+    """A plan of many operand sizes, some repeated, derives one step: at
+    the least widths (2k, 2k), whatever sizes its cycles join."""
     calls = []
 
     def counted(a, b, **kwargs):
@@ -250,8 +261,101 @@ def test_each_shape_is_derived_once(monkeypatch):
     monkeypatch.setattr(zstates.protocol, "distill_step", counted)
     report = execute_plan(gen_exponential_plan(1, 100))
     sizes = [(c.left.n, c.right.n) for c in report.cycles]
-    assert len(set(sizes)) < len(sizes)
-    assert sorted(calls) == sorted(set(sizes))
+    assert len(set(sizes)) > 1
+    assert calls == [(2, 2)]
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_one_derivation_sizes_every_width(k):
+    """The step derived at (2k, 2k) gives, at every width of the grid, the
+    probability and post state that `distill_step` derives at that width."""
+    for n1 in range(2 * k, 2 * k + 7):
+        for n2 in range(2 * k, 2 * k + 7):
+            report = execute_plan(single_cycle_plan(k, n1, n2))
+            step = distill_step(z_state(k, n1, "a"), z_state(k, n2, "b"),
+                                out_label="out")
+            assert (report.cycles[0].probability, report.final_state) == \
+                (step.success_probability, step.post_state)
+
+
+def test_weights_that_do_not_collect_fail_the_run(monkeypatch):
+    """Negative control: with unit projection weights the leftover of a
+    k = 2 step does not collect into one Z factor, and the one derivation
+    fails the run at cycle 0 (at k = 1 unit weights are the default ones)."""
+    monkeypatch.setattr(zstates.distill, "x0_alpha",
+                        lambda k: (Fraction(1),) * (k + 1))
+    with pytest.raises(PlanExecutionError,
+                       match="^cycle 0: post-measurement state does not "
+                             "collect into a single Z factor$"):
+        execute_plan(gen_exact_plan(2, 5, 6))
+
+
+def depth_of(plan, state_id):
+    """Cycles on the longest chain that produces `state_id`; 0 for a base state."""
+    cyc = next((c for c in plan.cycles if c.produced == state_id), None)
+    return 0 if cyc is None else 1 + max(depth_of(plan, cyc.left),
+                                         depth_of(plan, cyc.right))
+
+
+@st.composite
+def plan_forests(draw):
+    """A valid plan over k 1-3: base states of sizes 2k..2k+3, some of them
+    ancillas, and up to six cycles, each joining any two states not yet
+    consumed, so pairings are unbalanced and products may stay unconsumed.
+    The target is the last product, or the first input without cycles."""
+    k = draw(st.integers(1, 3))
+    n_cycles = draw(st.integers(0, 6))
+    sizes = draw(st.lists(st.integers(2 * k, 2 * k + 3), min_size=n_cycles + 1,
+                          max_size=n_cycles + 3))
+    n_ancillas = draw(st.integers(0, len(sizes) - 1))
+    bases = [StateRef(f"b{i}", k, n) for i, n in enumerate(sizes)]
+    free = {r.id: r.n for r in bases}
+    cycles = []
+    for i in range(n_cycles):
+        ids = sorted(free)
+        left = draw(st.sampled_from(ids))
+        right = draw(st.sampled_from([j for j in ids if j != left]))
+        produced = f"p{i}"
+        free[produced] = free.pop(left) + free.pop(right) - 2 * k
+        cycles.append(Cycle(left, right, produced))
+    split = len(sizes) - n_ancillas
+    target_n = free[cycles[-1].produced] if cycles else sizes[0]
+    return ProtocolPlan(k, tuple(bases[:split]), tuple(bases[split:]),
+                        tuple(cycles), target_n)
+
+
+# A k = 2 chain whose fourth cycle, 16 + 7 qubits, is past the dense cap.
+CHAIN_PAST_CAP = ProtocolPlan(
+    2, tuple(StateRef(f"b{i}", 2, 7) for i in range(5)), (),
+    tuple(Cycle(f"p{i - 1}" if i else "b0", f"b{i + 1}", f"p{i}")
+          for i in range(4)), 19)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(plan_forests())
+@example(CHAIN_PAST_CAP)
+def test_random_plan_forests(plan):
+    """Each plan matches `fresh_run`, so the telescoped cumulative equals the
+    product of fresh probabilities; the ledger balances; the critical path
+    is the ledger's depth plus one long and, unless an unconsumed product
+    lies deeper, ends at the final state; and at k <= 2 the oracle checks
+    exactly the cycles within the dense cap."""
+    report = execute_plan(plan)
+    assert (report.cycles, report.cumulative_success, report.final_state) == \
+        fresh_run(plan)
+    led = report.ledger
+    assert led.output_qubits == (led.input_qubits + led.ancilla_qubits
+                                 - led.consumed_qubits)
+    assert led.consumed_qubits == 2 * plan.k * led.cycles == \
+        2 * plan.k * len(plan.cycles)
+    path = critical_path(plan)
+    assert len(path) == led.depth + 1
+    if depth_of(plan, report.final.id) == led.depth:
+        assert path[-1] == report.final.n
+    if plan.k <= 2:
+        checked = execute_plan(plan, check_distillation_cell)
+        assert [c.oracle_checked for c in checked.cycles] == [
+            c.left.n + c.right.n <= DENSE_CAP for c in checked.cycles]
 
 
 def test_execute_rejects_invalid_plan():
@@ -424,3 +528,14 @@ def test_ledger_conservation():
 
 def test_critical_path_of_empty_plan():
     assert critical_path(gen_incremental_plan(2, 5)) == [5]
+
+
+def test_critical_path_of_a_forest_follows_its_deepest_product():
+    """The final product Z_1(4) is one cycle deep, but the unconsumed Z_1(8)
+    is two: the deepest chain runs to it, as long as the ledger's depth."""
+    sizes = {"b0": 3, "b1": 4, "b2": 5, "b3": 3, "b4": 3}
+    plan = ProtocolPlan(1, tuple(StateRef(i, 1, n) for i, n in sizes.items()), (),
+                        (Cycle("b0", "b1", "p0"), Cycle("b2", "p0", "p1"),
+                         Cycle("b3", "b4", "p2")), 4)
+    assert execute_plan(plan).ledger.depth == 2
+    assert critical_path(plan) == [3, 5, 8]
