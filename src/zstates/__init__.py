@@ -56,7 +56,6 @@ from .plandoc import (
     PlanDocument,
     approx_decimal,
     document_to_plan,
-    frac_to_json,
     parse_document,
     render_document,
 )

@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import io
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +25,6 @@ from .plandoc import (
     PlanDocument,
     approx_decimal,
     document_to_plan,
-    frac_to_json,
     parse_document,
     render_document,
 )
@@ -125,28 +123,34 @@ def _ledger_items(ledger: ResourceLedger) -> list[tuple[str, int]]:
     return [(f.name, getattr(ledger, f.name)) for f in dataclasses.fields(ledger)]
 
 
-def report_to_json(plan: ProtocolPlan, report: ExecutionReport) -> dict:
-    """Machine-readable report; every probability is an exact fraction."""
-    return {
-        "schema_version": 1,
-        "k": plan.k,
-        "final": {"id": report.final.id, "k": report.final.k,
-                  "n": report.final.n},
-        "cycles": [
-            {
-                "index": i,
-                "left": r.left.id,
-                "right": r.right.id,
-                "produced": {"id": r.produced.id, "k": r.produced.k,
-                             "n": r.produced.n},
-                "probability": frac_to_json(r.probability),
-                "oracle_checked": r.oracle_checked,
-            }
-            for i, r in enumerate(report.cycles)
-        ],
-        "cumulative_probability": frac_to_json(report.cumulative_success),
-        "ledger": dict(_ledger_items(report.ledger)),
-    }
+# A cycle of the JSON report, as `json.dump(..., indent=2)` lays it out.
+_JSON_CYCLE = ('    {\n      "index": %d,\n      "left": %s,\n      "right": %s,\n'
+               '      "produced": {\n        "id": %s,\n        "k": %d,\n'
+               '        "n": %d\n      },\n      "probability": {\n'
+               '        "num": %d,\n        "den": %d\n      },\n'
+               '      "oracle_checked": %s\n    }')
+
+
+def report_to_json(plan: ProtocolPlan, report: ExecutionReport) -> str:
+    """Machine-readable report as `json.dump(..., indent=2)` writes it, each
+    probability an exact `num`/`den` pair.  The tail is formatted first, so
+    an int past `str`'s digit limit raises ValueError before any cycle is."""
+    cumulative, final = report.cumulative_success, report.final
+    tail = (f'  "cumulative_probability": {{\n    "num": {cumulative.numerator},'
+            f'\n    "den": {cumulative.denominator}\n  }},\n  "ledger": {{\n    '
+            + ",\n    ".join([f'"{name}": {value}'
+                              for name, value in _ledger_items(report.ledger)])
+            + "\n  }\n}\n")
+    cycles = ",\n".join([
+        _JSON_CYCLE % (i, _quote(r.left.id), _quote(r.right.id),
+                       _quote(r.produced.id), r.produced.k, r.produced.n,
+                       r.probability.numerator, r.probability.denominator,
+                       "true" if r.oracle_checked else "false")
+        for i, r in enumerate(report.cycles)])
+    return (f'{{\n  "schema_version": 1,\n  "k": {plan.k},\n  "final": {{\n'
+            f'    "id": {_quote(final.id)},\n    "k": {final.k},\n'
+            f'    "n": {final.n}\n  }},\n  "cycles": '
+            + (f"[\n{cycles}\n  ],\n" if cycles else "[],\n") + tail)
 
 
 def report_to_text(plan: ProtocolPlan, report: ExecutionReport) -> str:
@@ -170,13 +174,13 @@ def report_to_text(plan: ProtocolPlan, report: ExecutionReport) -> str:
     return "\n".join(lines)
 
 
-def _max_digits(obj) -> int:
-    """Most decimal digits of any int in a JSON-shaped value."""
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    if isinstance(obj, list):
-        return max(map(_max_digits, obj), default=0)
-    return len(int_str(abs(obj))) if type(obj) is int else 0
+def _max_digits(report: ExecutionReport) -> int:
+    """Most decimal digits of any int in the JSON report: in its fractions or
+    its ledger, whose sums bound every state size, index and k in it."""
+    ints = [value for _, value in _ledger_items(report.ledger)]
+    for value in (report.cumulative_success, *[r.probability for r in report.cycles]):
+        ints += (value.numerator, value.denominator)
+    return len(int_str(max(map(abs, ints))))
 
 
 def _load_plan(path_str: str) -> ProtocolPlan:
@@ -220,23 +224,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     plan = _load_plan(args.plan_file)
     report = execute_plan(
         plan, check_distillation_cell if args.verify_with_oracle else None)
-    if args.report == "json":
-        payload = report_to_json(plan, report)
-        # json.dump writes the indented encoder's chunks as they come, where
-        # json.dumps would first hold them all in one list.
-        buf = io.StringIO()
+    if args.report == "text":
+        text = report_to_text(plan, report)
+    else:
         try:
-            json.dump(payload, buf, indent=2)
+            text = report_to_json(plan, report)
         except ValueError as exc:
             raise _Exit(EXIT_RUNTIME,
                         f"cannot write the JSON report: an integer in it has "
-                        f"{_max_digits(payload)} digits, past Python's "
+                        f"{_max_digits(report)} digits, past Python's "
                         f"{sys.get_int_max_str_digits()}-digit limit for "
                         f"writing ints") from exc
-        buf.write("\n")
-        sys.stdout.write(buf.getvalue())
-    else:
-        sys.stdout.write(report_to_text(plan, report))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -34,7 +34,6 @@ __all__ = [
     "parse_document",
     "render_document",
     "document_to_plan",
-    "frac_to_json",
     "approx_decimal",
 ]
 
@@ -193,14 +192,10 @@ def document_to_plan(doc: PlanDocument) -> ProtocolPlan:
                         tuple(Cycle(*c) for c in doc.cycles), doc.target_n)
 
 
-def frac_to_json(value: Fraction) -> dict[str, int]:
-    return {"num": value.numerator, "den": value.denominator}
+_APPROX = Context(prec=6, rounding=ROUND_HALF_EVEN)
 
 
 def approx_decimal(value: Fraction) -> str:
     """Display-only decimal approximation: 6 significant digits, half-even."""
-    with localcontext() as ctx:
-        ctx.prec = 6
-        ctx.rounding = ROUND_HALF_EVEN
-        result = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(result)
+    return str(_APPROX.divide(Decimal(value.numerator),
+                              Decimal(value.denominator)))

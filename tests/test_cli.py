@@ -1,6 +1,7 @@
 """Command line round trips, report formats, and exit codes."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,12 +10,24 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from zstates.cli import main
+from zstates.cli import main, report_to_json
 from zstates.plandoc import document_to_plan, parse_document
-from zstates.protocol import execute_plan
+from zstates.protocol import (
+    Cycle,
+    ProtocolPlan,
+    StateRef,
+    execute_plan,
+    gen_exact_plan,
+    gen_exponential_plan,
+    gen_incremental_plan,
+)
+from zstates.verify import check_distillation_cell
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +130,92 @@ def test_json_report_is_exact(tmp_path, capsys):
     assert no_floats(report)
 
 
+def reference_json(plan, report):
+    """The JSON report as a dict payload written by `json.dump(..., indent=2)`,
+    the writer `report_to_json` must match byte for byte."""
+    def frac(value):
+        return {"num": value.numerator, "den": value.denominator}
+
+    payload = {
+        "schema_version": 1,
+        "k": plan.k,
+        "final": {"id": report.final.id, "k": report.final.k,
+                  "n": report.final.n},
+        "cycles": [
+            {
+                "index": i,
+                "left": r.left.id,
+                "right": r.right.id,
+                "produced": {"id": r.produced.id, "k": r.produced.k,
+                             "n": r.produced.n},
+                "probability": frac(r.probability),
+                "oracle_checked": r.oracle_checked,
+            }
+            for i, r in enumerate(report.cycles)
+        ],
+        "cumulative_probability": frac(report.cumulative_success),
+        "ledger": dataclasses.asdict(report.ledger),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def assert_json_report_matches(plan, oracle=None):
+    report = execute_plan(plan, oracle)
+    assert report_to_json(plan, report) == reference_json(plan, report)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
+@pytest.mark.parametrize("oracle", [None, check_distillation_cell])
+def test_json_report_bytes_on_the_goldens(name, oracle):
+    doc = parse_document((GOLDEN / name / "plan.json").read_text("utf-8"))
+    assert_json_report_matches(document_to_plan(doc), oracle)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_json_report_bytes_in_every_generator_mode(k):
+    for plan in (gen_exact_plan(k, 2 * k, 3 * k + 1),
+                 gen_incremental_plan(k, 2 * k + 1),
+                 gen_incremental_plan(k, 4 * k + 9),
+                 gen_exponential_plan(k, 8 * k + 13),
+                 gen_exponential_plan(k, 300)):
+        assert_json_report_matches(plan)
+
+
+# Ids that `json` has to escape: quotes, backslashes, control characters,
+# U+2028, a lone surrogate, and text outside ASCII and the BMP.
+HOSTILE_IDS = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800é\U0001d11e/'),
+    st.characters()), min_size=1, max_size=4)
+
+
+@st.composite
+def explicit_plans(draw):
+    """A chain that folds its inputs left to right, with an idle ancilla or
+    none; the first cycles fit the oracle's reach and the later ones not."""
+    k = draw(st.integers(1, 2))
+    sizes = draw(st.lists(st.integers(2 * k, 2 * k + 7), min_size=1,
+                          max_size=5))
+    ids = draw(st.lists(HOSTILE_IDS, min_size=2 * len(sizes),
+                        max_size=2 * len(sizes), unique=True))
+    inputs = tuple(StateRef(i, k, n) for i, n in zip(ids, sizes))
+    cycles, left = [], ids[0]
+    for right, produced in zip(ids[1:len(sizes)], ids[len(sizes):]):
+        cycles.append(Cycle(left, right, produced))
+        left = produced
+    ancillas = draw(st.sampled_from([(), (StateRef(ids[-1], k, 2 * k),)]))
+    return ProtocolPlan(k, inputs, ancillas, tuple(cycles),
+                        sum(sizes) - 2 * k * len(cycles))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(explicit_plans(), st.booleans())
+@example(ProtocolPlan(1, (StateRef("a\u2028", 1, 3), StateRef('"\\', 1, 3)),
+                      (), (Cycle("a\u2028", '"\\', "\x00é"),), 4), True)
+def test_json_report_bytes_on_hostile_ids(plan, with_oracle):
+    assert_json_report_matches(plan,
+                               check_distillation_cell if with_oracle else None)
+
+
 @pytest.mark.parametrize("mode, extra, final", [
     ("exact", ("--n1", "5", "--n2", "6"), "Z_2(11)"),
     ("incremental", ("--n-target", "8",), "Z_2(8)"),
@@ -205,6 +304,20 @@ def test_reports_past_the_int_digit_limit(tmp_path, capsys):
     assert f" {digits} digits" in err
 
 
+def test_json_report_refuses_before_formatting_any_cycle(monkeypatch):
+    """The cumulative and the ledger are formatted first: a report whose
+    cumulative is past `str`'s digit limit quotes no id before it raises."""
+    import zstates.cli
+
+    plan = gen_exponential_plan(3, 1600)
+    report = execute_plan(plan)
+    quoted = []
+    monkeypatch.setattr(zstates.cli, "_quote", quoted.append)
+    with pytest.raises(ValueError):
+        report_to_json(plan, report)
+    assert quoted == []
+
+
 def test_ledger_sums_past_the_int_digit_limit(tmp_path, capsys):
     """Two idle ancillas of 4,300 nines each sum past `str(int)`'s limit:
     the text report spells the ledger exactly, the JSON report refuses it
@@ -226,6 +339,7 @@ def test_ledger_sums_past_the_int_digit_limit(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", str(path), "--report", "json")
     assert (code, out) == (4, "")
     assert err.count("\n") == 1
+    assert " 4301 digits" in err
     assert run_cli(capsys, "graph", str(path))[0] == 0
 
 

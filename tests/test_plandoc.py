@@ -1,9 +1,12 @@
 """Plan document schema: strict parsing, lossless round trips, decimals."""
 
 import json
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zstates import (
     DocumentError,
@@ -147,3 +150,27 @@ def test_explicit_unknown_state_is_a_violation():
 ])
 def test_approx_decimal_six_significant_digits(value, rendered):
     assert approx_decimal(value) == rendered
+
+
+def localcontext_decimal(value: Fraction) -> str:
+    """`approx_decimal` as it was written with a per-call `localcontext`."""
+    with localcontext() as ctx:
+        ctx.prec = 6
+        ctx.rounding = ROUND_HALF_EVEN
+        result = Decimal(value.numerator) / Decimal(value.denominator)
+    return str(result)
+
+
+# Ints from one digit to past `str`'s 4,300-digit limit.
+WIDE_INTS = st.builds(lambda m, e: m * 10 ** e + m // 7,
+                      st.integers(1, 10 ** 12), st.integers(0, 5000))
+# Values halfway between two 6-digit decimals, where the rounding shows.
+TIES = st.builds(lambda m, e: Fraction(2 * m + 1, 2) * Fraction(10) ** e,
+                 st.integers(10 ** 5, 10 ** 6 - 1), st.integers(-12, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.one_of(st.fractions(), st.builds(Fraction, WIDE_INTS, WIDE_INTS),
+                 TIES))
+def test_approx_decimal_matches_a_per_call_localcontext(value):
+    assert approx_decimal(value) == localcontext_decimal(value)
