@@ -222,8 +222,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     plan = _load_plan(args.plan_file)
-    report = execute_plan(
-        plan, check_distillation_cell if args.verify_with_oracle else None)
+    # One verdict store per run: each distinct cell is replayed once.
+    oracle = (functools.partial(check_distillation_cell, verdicts={})
+              if args.verify_with_oracle else None)
+    report = execute_plan(plan, oracle)
     if args.report == "text":
         text = report_to_text(plan, report)
     else:

@@ -79,6 +79,14 @@ def _expect_str(obj: dict, key: str, where: str) -> str:
     value = obj[key]
     if not isinstance(value, str) or not value:
         raise DocumentError(f"{where}.{key} must be a non-empty string")
+    # JSON can spell a lone surrogate as an escape; no report could write
+    # it to a UTF-8 stream.
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DocumentError(f"{where}.{key} holds a lone surrogate, which "
+                                f"UTF-8 cannot encode") from None
     return value
 
 

@@ -123,7 +123,8 @@ def distillation_cells(max_k: int, max_operand_n: int, max_total_n: int):
 
 
 def check_distillation_cell(k: int, n1: int, n2: int, outcome: DistillOutcome,
-                            selections: Optional[Iterable[Selection]] = None
+                            selections: Optional[Iterable[Selection]] = None,
+                            *, verdicts: Optional[dict] = None
                             ) -> Optional[list[str]]:
     """Check the outcome of one distillation step on Z_k(n1), Z_k(n2).
 
@@ -132,9 +133,16 @@ def check_distillation_cell(k: int, n1: int, n2: int, outcome: DistillOutcome,
     with an oracle weight equal to the outcome's probability and to the
     closed form.  Returns the failures (empty = agree), or None for a cell
     that passes the symbolic check but lies beyond the dense cap, so it is
-    `execute_plan`'s oracle as is.  The expansions are built once, then
-    projected for each of `selections` (the k measured qubits of each
-    operand; default: the first k of each) up to the first that disagrees.
+    `execute_plan`'s oracle as is.  Each of `selections` (the k measured
+    qubits of each operand; None: the first k of each) is replayed up to
+    the first that disagrees; ValueError if they name none.
+
+    Z states are invariant under every qubit permutation, so a replay
+    depends only on the cell and the ordered selection, never on the
+    outcome: its (weight, proportional) verdict is kept in `verdicts`, a
+    store that one caller owns and passes to every call (None: a fresh
+    one), and every outcome is compared with it.  The expansions are built
+    once per call, on the first selection missing from the store.
     """
     where = f"(k={k}, N1={n1}, N2={n2})"
     n_out = n1 + n2 - 2 * k
@@ -146,34 +154,51 @@ def check_distillation_cell(k: int, n1: int, n2: int, outcome: DistillOutcome,
         failures.append(f"{where}: symbolic post state is not a single Z_{k}({n_out})")
     if n1 + n2 > DENSE_CAP:
         return failures or None
-    joint = to_dense(tensor(z_state(k, n1, RegisterId("A", n1)),
-                            z_state(k, n2, RegisterId("B", n2))))
-    target = to_dense(x0_state(k, RegisterId("XA", k), RegisterId("XB", k)))
-    z_out = dense_z(k, n_out)
-    for sel_a, sel_b in selections or [(range(k), range(k))]:
+    verdicts = {} if verdicts is None else verdicts
+    closed_form = success_probability(k, n1, n2)
+    expansions = None
+    replayed = False
+    for sel_a, sel_b in ([(range(k), range(k))] if selections is None
+                         else selections):
+        replayed = True
         if any(not 0 <= i < n for sel, n in ((sel_a, n1), (sel_b, n2)) for i in sel):
             raise ValueError("selection index out of range for its operand")
-        qubits = [*sel_a, *(n1 + i for i in sel_b)]
-        remainder, weight = dense_project(joint, qubits, target)
+        qubits = (*sel_a, *(n1 + i for i in sel_b))
+        verdict = verdicts.get((k, n1, n2, qubits))
+        if verdict is None:
+            if expansions is None:
+                expansions = (
+                    to_dense(tensor(z_state(k, n1, RegisterId("A", n1)),
+                                    z_state(k, n2, RegisterId("B", n2)))),
+                    to_dense(x0_state(k, RegisterId("XA", k), RegisterId("XB", k))),
+                    dense_z(k, n_out))
+            joint, target, z_out = expansions
+            remainder, weight = dense_project(joint, qubits, target)
+            ratio = proportionality(remainder, z_out)
+            verdict = verdicts[k, n1, n2, qubits] = (
+                weight, ratio is not None and ratio > 0)
+        weight, proportional = verdict
         problems = []
-        ratio = proportionality(remainder, z_out)
-        if ratio is None or ratio <= 0:
+        if not proportional:
             problems.append(
                 f"{where}: dense remainder is not proportional to Z_{k}({n_out})")
         if weight != outcome.success_probability:
             problems.append(f"{where}: oracle weight {weight} != symbolic "
                             f"probability {outcome.success_probability}")
-        if weight != success_probability(k, n1, n2):
+        if weight != closed_form:
             problems.append(f"{where}: oracle weight {weight} != closed form "
-                            f"{success_probability(k, n1, n2)}")
+                            f"{closed_form}")
         if problems:
             failures += ([f"selection={sel_a, sel_b}: " + "; ".join(problems)]
-                         if selections else problems)
+                         if selections is not None else problems)
             break
+    if not replayed:
+        raise ValueError("selections named no selection to replay")
     return failures
 
 
-def _derive_and_check(k: int, n1: int, n2: int, alpha, selections) -> list[str]:
+def _derive_and_check(k: int, n1: int, n2: int, alpha, selections,
+                      verdicts: Optional[dict]) -> list[str]:
     """Distill fresh operands once and check the outcome."""
     try:
         outcome = distill_step(z_state(k, n1, RegisterId("A", n1)),
@@ -181,18 +206,21 @@ def _derive_and_check(k: int, n1: int, n2: int, alpha, selections) -> list[str]:
     except NotCollectibleError:
         return [f"(k={k}, N1={n1}, N2={n2}): post state does not collect to a "
                 f"single Z factor"]
-    return check_distillation_cell(k, n1, n2, outcome, selections) or []
+    return check_distillation_cell(k, n1, n2, outcome, selections,
+                                   verdicts=verdicts) or []
 
 
 def sweep_distillation(max_k: int, max_operand_n: int, max_total_n: int,
-                       corrupt_alpha: bool) -> SweepResult:
+                       corrupt_alpha: bool, *, verdicts: Optional[dict] = None
+                       ) -> SweepResult:
     """With corrupt_alpha each step is derived with unit projection weights,
-    the negative control: from k = 2 on its post state does not collect."""
+    the negative control: from k = 2 on its post state does not collect.
+    `verdicts` is the oracle's store (see `check_distillation_cell`)."""
     res = SweepResult("distillation")
     for k, n1, n2 in distillation_cells(max_k, max_operand_n, max_total_n):
         res.cells += 1
         alpha = (Fraction(1),) * (k + 1) if corrupt_alpha else None
-        res.failures.extend(_derive_and_check(k, n1, n2, alpha, None))
+        res.failures.extend(_derive_and_check(k, n1, n2, alpha, None, verdicts))
     return res
 
 
@@ -233,8 +261,9 @@ def sweep_permutations(max_n: int, seed: int) -> SweepResult:
 
 
 def sweep_selections(max_k: int, max_operand_n: int, max_total_n: int,
-                     seed: int) -> SweepResult:
-    """Distillation outcome is the same for any choice of measured qubits."""
+                     seed: int, *, verdicts: Optional[dict] = None) -> SweepResult:
+    """Distillation outcome is the same for any choice of measured qubits.
+    `verdicts` is the oracle's store (see `check_distillation_cell`)."""
     res = SweepResult("selection")
     rng = random.Random(seed)
     for k, n1, n2 in distillation_cells(max_k, max_operand_n, max_total_n):
@@ -242,7 +271,8 @@ def sweep_selections(max_k: int, max_operand_n: int, max_total_n: int,
         selections = ((tuple(rng.sample(range(n1), k)),
                        tuple(rng.sample(range(n2), k)))
                       for _ in range(SELECTION_SAMPLES))
-        res.failures.extend(_derive_and_check(k, n1, n2, None, selections))
+        res.failures.extend(
+            _derive_and_check(k, n1, n2, None, selections, verdicts))
     return res
 
 
@@ -256,15 +286,19 @@ def run_verification(max_n: int, max_k: int, seed: int,
     With corrupt_alpha the distillation sweep derives each step with unit
     projection weights instead of the proper choice and is expected to fail;
     it is the debug switch demonstrating that the weight choice matters.
+    The distillation and selection sweeps share one oracle verdict store.
     """
     operand_cap = max(max_n - 4, 2)
     total_cap = max_n + 2
+    verdicts: dict = {}
     return [
         sweep_vandermonde(max(max_n, 20)),
         sweep_norms(max_n + 4, max_n + 2),
         sweep_composition(max_n),
-        sweep_distillation(max_k, operand_cap, total_cap, corrupt_alpha),
+        sweep_distillation(max_k, operand_cap, total_cap, corrupt_alpha,
+                           verdicts=verdicts),
         sweep_bit_flip(max_n),
         sweep_permutations(max(max_n - 2, 1), seed),
-        sweep_selections(max_k, operand_cap, total_cap, seed),
+        sweep_selections(max_k, operand_cap, total_cap, seed,
+                         verdicts=verdicts),
     ]

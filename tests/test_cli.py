@@ -13,7 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import zstates.verify
 from zstates.cli import main, report_to_json
+from zstates.dense import dense_project
+from zstates.distill import success_probability
 from zstates.plandoc import document_to_plan, parse_document
 from zstates.protocol import (
     Cycle,
@@ -250,6 +253,37 @@ def test_oracle_replays_only_cycles_within_the_dense_cap(tmp_path, capsys):
     assert len(checked) == 1 and checked[0].startswith("cycle 1:")
 
 
+def test_no_verdict_outlives_its_run(tmp_path, capsys, monkeypatch):
+    """A run replays each distinct cell once: three projections for the 14
+    cycles in reach of exponential k=3 to 31 qubits.  The next run keeps
+    none of its verdicts, so a projection that now returns a wrong weight
+    fails it at cycle 0."""
+    path = write_plan(tmp_path, capsys, "--mode", "exponential", "--k", "3",
+                      "--n-target", "31")
+    widths = []
+
+    def counted(state, qubits, target):
+        widths.append(state.width)
+        return dense_project(state, qubits, target)
+
+    monkeypatch.setattr(zstates.verify, "dense_project", counted)
+    code, out, err = run_cli(capsys, "run", str(path), "--verify-with-oracle")
+    assert (code, err, out.count("[oracle ok]")) == (0, "", 14)
+    assert sorted(widths) == [14, 16, 20]
+
+    def off_by_one(state, qubits, target):
+        remainder, weight = dense_project(state, qubits, target)
+        return remainder, weight + 1
+
+    monkeypatch.setattr(zstates.verify, "dense_project", off_by_one)
+    code, out, err = run_cli(capsys, "run", str(path), "--verify-with-oracle")
+    p = success_probability(3, 7, 7)
+    assert (code, out) == (4, "")
+    assert err == (f"cycle 0: oracle disagreement: (k=3, N1=7, N2=7): oracle "
+                   f"weight {p + 1} != symbolic probability {p}; (k=3, N1=7, "
+                   f"N2=7): oracle weight {p + 1} != closed form {p}\n")
+
+
 def test_no_dense_cap_setting(tmp_path, capsys):
     """The oracle's reach is fixed: neither a flag nor a document field sets it."""
     path = write_plan(tmp_path, capsys, "--mode", "exact", "--k", "1",
@@ -354,6 +388,29 @@ def test_python_m_zstates():
     assert done.returncode == 0, done.stderr
     doc = parse_document(done.stdout)
     assert (doc.mode, doc.k, doc.n1, doc.n2) == ("exact", 1, 3, 3)
+
+
+def test_lone_surrogate_ids_exit_2_on_a_real_stdout(tmp_path):
+    """JSON can spell a lone surrogate as an escape, and no UTF-8 stream can
+    write it: the document is malformed before any command writes output.
+    Only a real stdout meets this; an in-process StringIO takes any str."""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "mode": "explicit", "k": 1, "target_n": 4,
+        "inputs": [{"id": "\ud800", "k": 1, "n": 3}, {"id": "b", "k": 1, "n": 3}],
+        "ancillas": [],
+        "cycles": [{"left": "\ud800", "right": "b", "produced": "out"}],
+    }), encoding="ascii")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for argv in (["run"], ["run", "--report", "json"], ["graph"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "zstates", *argv, str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "malformed plan document: inputs[0].id holds a lone "
+                   "surrogate, which UTF-8 cannot encode\n"), argv
 
 
 def test_plan_precondition_violations_exit_2(capsys):

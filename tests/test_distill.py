@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import zstates.verify
 from conftest import fresh_outcome
 from zstates import (
     DENSE_CAP,
@@ -21,7 +22,11 @@ from zstates import (
     x0_state,
     z_state,
 )
-from zstates.verify import check_distillation_cell, distillation_cells
+from zstates.verify import (
+    check_distillation_cell,
+    distillation_cells,
+    sweep_selections,
+)
 
 
 def _regs(k):
@@ -206,3 +211,42 @@ def test_selection_indexes_its_own_operand():
     with pytest.raises(ValueError):
         check_distillation_cell(1, 3, 3, fresh_outcome(1, 3, 3),
                                 [((0,), (0,)), ((3,), (0,))])
+
+
+@pytest.mark.parametrize("selections", [[], iter(())], ids=["list", "iterator"])
+def test_selections_that_name_none_are_refused(selections):
+    """An empty list is not the default selection, and an empty iterator
+    does not pass a check that replayed nothing."""
+    with pytest.raises(ValueError, match="no selection"):
+        check_distillation_cell(1, 3, 3, fresh_outcome(1, 3, 3), selections)
+
+
+def test_a_shared_store_changes_no_result():
+    """Checks that share one verdict store return what checks with a fresh
+    store each return, on agreeing and on tampered outcomes alike."""
+    shared = {}
+    for k, n1, n2 in distillation_cells(3, 8, 14):
+        good = fresh_outcome(k, n1, n2)
+        tampered = DistillOutcome(good.post_state, good.success_probability / 2)
+        selections = [(range(k), range(k)), (range(n1 - k, n1), range(k))]
+        for outcome in (good, tampered):
+            for sel in (None, selections):
+                assert check_distillation_cell(
+                    k, n1, n2, outcome, sel, verdicts=shared
+                ) == check_distillation_cell(k, n1, n2, outcome, sel)
+    # Two keys per cell: the first k qubits of each operand, and the last
+    # k of the first with the first k of the second.
+    assert len(shared) == 2 * len(list(distillation_cells(3, 8, 14)))
+
+
+def test_closed_form_is_computed_once_per_cell(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return success_probability(*args)
+
+    monkeypatch.setattr(zstates.verify, "success_probability", counted)
+    res = sweep_selections(2, 6, 12, seed=5)
+    assert res.passed
+    assert len(calls) == res.cells

@@ -1,5 +1,6 @@
 """Plan validation, execution, and the three schedule generators."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from zstates import (
     z_state,
 )
 from zstates.blocks import RegisterId, block_sum
-from zstates.dense import DENSE_CAP
+from zstates.dense import DENSE_CAP, dense_project
 from zstates.distill import DistillOutcome
 from zstates.verify import check_distillation_cell
 
@@ -187,6 +188,59 @@ def test_oracle_sees_every_cycle_under_its_own_id():
     assert all(c.oracle_checked for c in report.cycles)
     assert seen == [(c.left.n, c.right.n, (RegisterId(c.produced.id, c.produced.n),))
                     for c in report.cycles]
+
+
+def test_one_store_replays_each_distinct_cell_once(monkeypatch):
+    """Exponential k=3 to 31 qubits has 14 cycles within the dense cap on
+    three distinct cells, (7, 7) x8, (8, 8) x4 and (10, 10) x2: with one
+    verdict store the oracle is still called on all 24 cycles, marks every
+    cycle in reach as checked, and projects the dense state 3 times."""
+    projections, calls = [], []
+
+    def counted_project(state, qubits, target):
+        projections.append(state.width)
+        return dense_project(state, qubits, target)
+
+    monkeypatch.setattr(zstates.verify, "dense_project", counted_project)
+    check = functools.partial(check_distillation_cell, verdicts={})
+
+    def oracle(k, n1, n2, outcome):
+        calls.append((n1, n2))
+        return check(k, n1, n2, outcome)
+
+    plan = gen_exponential_plan(3, 31)
+    report = execute_plan(plan, oracle)
+    assert calls == [(c.left.n, c.right.n) for c in report.cycles]
+    assert len(calls) == 24
+    in_reach = [n1 + n2 <= DENSE_CAP for n1, n2 in calls]
+    assert [c.oracle_checked for c in report.cycles] == in_reach
+    assert sum(in_reach) == 14
+    assert sorted(projections) == [14, 16, 20]
+
+
+def test_a_tampered_repeat_of_a_replayed_cell_is_flagged():
+    """The eighth (7, 7) cycle reuses the verdict of the first; its doubled
+    probability still fails the run at that cycle."""
+    plan = gen_exponential_plan(3, 31)
+    cells = [(c.left.n, c.right.n) for c in execute_plan(plan).cycles]
+    eighth = [i for i, cell in enumerate(cells) if cell == (7, 7)][7]
+    check = functools.partial(check_distillation_cell, verdicts={})
+    seen = []
+
+    def tampering(k, n1, n2, outcome):
+        seen.append((n1, n2))
+        if seen.count((7, 7)) == 8 and (n1, n2) == (7, 7):
+            outcome = DistillOutcome(outcome.post_state,
+                                     2 * outcome.success_probability)
+        return check(k, n1, n2, outcome)
+
+    p = success_probability(3, 7, 7)
+    with pytest.raises(PlanExecutionError) as info:
+        execute_plan(plan, tampering)
+    assert info.value.cycle_index == eighth == len(seen) - 1
+    assert str(info.value) == (
+        f"cycle {eighth}: oracle disagreement: (k=3, N1=7, N2=7): oracle "
+        f"weight {p} != symbolic probability {2 * p}")
 
 
 def fresh_run(plan, step=distill_step):
