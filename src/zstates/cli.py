@@ -9,7 +9,6 @@ document, 3 invalid plan, 4 execution error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from fractions import Fraction
@@ -21,6 +20,7 @@ from .combinatorics import int_str
 from .dense import DENSE_CAP
 from .graph import plan_to_dot
 from .plandoc import (
+    MAX_DOCUMENT_BYTES,
     DocumentError,
     PlanDocument,
     approx_decimal,
@@ -120,7 +120,7 @@ def _state_str(ref: StateRef) -> str:
 
 def _ledger_items(ledger: ResourceLedger) -> list[tuple[str, int]]:
     """The ledger's fields and values, in the order both reports print them."""
-    return [(f.name, getattr(ledger, f.name)) for f in dataclasses.fields(ledger)]
+    return list(ledger._asdict().items())
 
 
 # A cycle of the JSON report, as `json.dump(..., indent=2)` lays it out.
@@ -185,8 +185,14 @@ def _max_digits(report: ExecutionReport) -> int:
 
 def _load_plan(path_str: str) -> ProtocolPlan:
     """The plan a document file describes; raises for any flaw on the way."""
+    path = Path(path_str)
     try:
-        text = Path(path_str).read_text(encoding="utf-8")
+        size = path.stat().st_size
+        if size > MAX_DOCUMENT_BYTES:
+            raise _Exit(EXIT_BAD_INPUT,
+                        f"cannot read {path_str}: the file has {size} bytes, "
+                        f"more than the limit of {MAX_DOCUMENT_BYTES}")
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _Exit(EXIT_BAD_INPUT, f"cannot read {path_str}: {exc}") from exc
     try:

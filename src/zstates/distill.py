@@ -9,9 +9,8 @@ consumes 2k qubits regardless of how large the inputs are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .blocks import (
     BlockProduct,
@@ -47,8 +46,7 @@ class NotCollectibleError(DistillationError):
     """The post-measurement state did not collect into a single Z factor."""
 
 
-@dataclass(frozen=True)
-class DistillOutcome:
+class DistillOutcome(NamedTuple):
     """Success branch of one distillation step."""
 
     post_state: BlockSum

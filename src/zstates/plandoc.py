@@ -10,10 +10,9 @@ floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .protocol import (
     Cycle,
@@ -28,6 +27,7 @@ from .protocol import (
 
 __all__ = [
     "SCHEMA_VERSION",
+    "MAX_DOCUMENT_BYTES",
     "MODES",
     "DocumentError",
     "PlanDocument",
@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# The largest document file read, checked before reading it: an explicit
+# incremental plan renders at about 157 bytes a cycle, so a plan of
+# `MAX_CYCLES` cycles is about 160 MB, and this leaves 1.6x headroom.
+MAX_DOCUMENT_BYTES = 256 * 2 ** 20
 # The schema in one table: the fields each mode has beyond the four every
 # document has, each mapped to whether the mode requires it, in the order
 # their rules are checked.
@@ -56,8 +60,7 @@ class DocumentError(ValueError):
     """The plan document is malformed."""
 
 
-@dataclass(frozen=True)
-class PlanDocument:
+class PlanDocument(NamedTuple):
     k: int
     target_n: int
     mode: str

@@ -14,9 +14,8 @@ per-cycle success probabilities, a product that telescopes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .blocks import BlockSum, RegisterId, z_state
 from .combinatorics import binom, int_str
@@ -51,8 +50,7 @@ MAX_CYCLES = 10 ** 6
 Oracle = Callable[[int, int, int, "DistillOutcome"], Optional[list[str]]]
 
 
-@dataclass(frozen=True, slots=True)
-class StateRef:
+class StateRef(NamedTuple):
     """Descriptor of one Z_k(n) state appearing in a plan."""
 
     id: str
@@ -60,8 +58,7 @@ class StateRef:
     n: int
 
 
-@dataclass(frozen=True, slots=True)
-class Cycle:
+class Cycle(NamedTuple):
     """One distillation cycle, by state id: left + right -> produced."""
 
     left: str
@@ -69,8 +66,7 @@ class Cycle:
     produced: str
 
 
-@dataclass(frozen=True)
-class ProtocolPlan:
+class ProtocolPlan(NamedTuple):
     k: int
     inputs: tuple[StateRef, ...]
     ancillas: tuple[StateRef, ...]
@@ -78,8 +74,7 @@ class ProtocolPlan:
     target_n: int  # the target is Z_k(target_n)
 
 
-@dataclass(frozen=True)
-class CycleResult:
+class CycleResult(NamedTuple):
     left: StateRef
     right: StateRef
     produced: StateRef
@@ -87,8 +82,7 @@ class CycleResult:
     oracle_checked: bool = False
 
 
-@dataclass(frozen=True)
-class ResourceLedger:
+class ResourceLedger(NamedTuple):
     """Exact qubit accounting: output = input + ancilla - 2k * cycles."""
 
     input_qubits: int
@@ -99,8 +93,7 @@ class ResourceLedger:
     depth: int
 
 
-@dataclass(frozen=True)
-class ExecutionReport:
+class ExecutionReport(NamedTuple):
     cycles: tuple[CycleResult, ...]
     cumulative_success: Fraction
     ledger: ResourceLedger
@@ -122,8 +115,7 @@ class PlanExecutionError(RuntimeError):
         super().__init__(f"cycle {cycle_index}: {message}")
 
 
-@dataclass(frozen=True)
-class _Resolved:
+class _Resolved(NamedTuple):
     """Declared states and products whose operands resolved, by id.
 
     `depth` and `producer` hold only products; a base state has depth 0.

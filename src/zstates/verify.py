@@ -199,13 +199,23 @@ def check_distillation_cell(k: int, n1: int, n2: int, outcome: DistillOutcome,
 
 def _derive_and_check(k: int, n1: int, n2: int, alpha, selections,
                       verdicts: Optional[dict]) -> list[str]:
-    """Distill fresh operands once and check the outcome."""
-    try:
-        outcome = distill_step(z_state(k, n1, RegisterId("A", n1)),
-                               z_state(k, n2, RegisterId("B", n2)), alpha)
-    except NotCollectibleError:
-        return [f"(k={k}, N1={n1}, N2={n2}): post state does not collect to a "
-                f"single Z factor"]
+    """Check the outcome of one step on fresh operands.
+
+    With the default weights (`alpha` None) the outcome is taken from
+    `verdicts` under (k, n1, n2), or derived and kept there, so sweeps
+    sharing a store derive each cell once; a step with other weights is
+    always derived and never kept."""
+    verdicts = {} if verdicts is None else verdicts
+    outcome = None if alpha is not None else verdicts.get((k, n1, n2))
+    if outcome is None:
+        try:
+            outcome = distill_step(z_state(k, n1, RegisterId("A", n1)),
+                                   z_state(k, n2, RegisterId("B", n2)), alpha)
+        except NotCollectibleError:
+            return [f"(k={k}, N1={n1}, N2={n2}): post state does not collect "
+                    f"to a single Z factor"]
+        if alpha is None:
+            verdicts[k, n1, n2] = outcome
     return check_distillation_cell(k, n1, n2, outcome, selections,
                                    verdicts=verdicts) or []
 
@@ -215,7 +225,9 @@ def sweep_distillation(max_k: int, max_operand_n: int, max_total_n: int,
                        ) -> SweepResult:
     """With corrupt_alpha each step is derived with unit projection weights,
     the negative control: from k = 2 on its post state does not collect.
-    `verdicts` is the oracle's store (see `check_distillation_cell`)."""
+    `verdicts` is the oracle's store (see `check_distillation_cell`), which
+    also keeps each cell's outcome under the default weights (see
+    `_derive_and_check`)."""
     res = SweepResult("distillation")
     for k, n1, n2 in distillation_cells(max_k, max_operand_n, max_total_n):
         res.cells += 1
@@ -263,7 +275,8 @@ def sweep_permutations(max_n: int, seed: int) -> SweepResult:
 def sweep_selections(max_k: int, max_operand_n: int, max_total_n: int,
                      seed: int, *, verdicts: Optional[dict] = None) -> SweepResult:
     """Distillation outcome is the same for any choice of measured qubits.
-    `verdicts` is the oracle's store (see `check_distillation_cell`)."""
+    `verdicts` is the oracle's store (see `check_distillation_cell`), from
+    which a cell's outcome is reused (see `_derive_and_check`)."""
     res = SweepResult("selection")
     rng = random.Random(seed)
     for k, n1, n2 in distillation_cells(max_k, max_operand_n, max_total_n):
@@ -286,7 +299,8 @@ def run_verification(max_n: int, max_k: int, seed: int,
     With corrupt_alpha the distillation sweep derives each step with unit
     projection weights instead of the proper choice and is expected to fail;
     it is the debug switch demonstrating that the weight choice matters.
-    The distillation and selection sweeps share one oracle verdict store.
+    The distillation and selection sweeps share one oracle verdict store,
+    so without corrupt_alpha each of their cells is derived once.
     """
     operand_cap = max(max_n - 4, 2)
     total_cap = max_n + 2

@@ -1,7 +1,6 @@
 """Command line round trips, report formats, and exit codes."""
 
 import argparse
-import dataclasses
 import json
 import os
 import subprocess
@@ -17,7 +16,7 @@ import zstates.verify
 from zstates.cli import main, report_to_json
 from zstates.dense import dense_project
 from zstates.distill import success_probability
-from zstates.plandoc import document_to_plan, parse_document
+from zstates.plandoc import MAX_DOCUMENT_BYTES, document_to_plan, parse_document
 from zstates.protocol import (
     Cycle,
     ProtocolPlan,
@@ -157,7 +156,7 @@ def reference_json(plan, report):
             for i, r in enumerate(report.cycles)
         ],
         "cumulative_probability": frac(report.cumulative_success),
-        "ledger": dataclasses.asdict(report.ledger),
+        "ledger": report.ledger._asdict(),
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -521,6 +520,25 @@ def test_an_explicit_plan_past_the_cycle_limit_exits_3(tmp_path, capsys,
         3, "", "the plan would have 2 cycles, more than the limit of 1\n")
     monkeypatch.setattr(zstates.protocol, "MAX_CYCLES", 2)
     assert run_cli(capsys, "run", str(path))[0] == 0
+
+
+def test_a_document_past_the_size_limit_is_not_read(tmp_path, capsys,
+                                                    monkeypatch):
+    """A document file one byte over 256 MiB exits 2 with one stderr line
+    naming its size and the limit, before any of it is read."""
+    assert MAX_DOCUMENT_BYTES == 256 * 2 ** 20
+    path = tmp_path / "plan.json"
+    with open(path, "wb") as fh:
+        fh.truncate(MAX_DOCUMENT_BYTES + 1)  # sparse: no data is written
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the document was read")
+
+    monkeypatch.setattr(Path, "read_text", unread)
+    for command in ("run", "graph"):
+        assert run_cli(capsys, command, str(path)) == (
+            2, "", f"cannot read {path}: the file has {MAX_DOCUMENT_BYTES + 1} "
+                   f"bytes, more than the limit of {MAX_DOCUMENT_BYTES}\n")
 
 
 def test_graph_invalid_plan_exits_3(tmp_path, capsys):

@@ -25,6 +25,8 @@ from zstates import (
 from zstates.verify import (
     check_distillation_cell,
     distillation_cells,
+    run_verification,
+    sweep_distillation,
     sweep_selections,
 )
 
@@ -250,3 +252,34 @@ def test_closed_form_is_computed_once_per_cell(monkeypatch):
     res = sweep_selections(2, 6, 12, seed=5)
     assert res.passed
     assert len(calls) == res.cells
+
+
+@pytest.mark.parametrize("corrupt_alpha", [False, True])
+def test_verify_derives_each_cell_once(monkeypatch, corrupt_alpha):
+    """At the command line defaults the selection sweep takes each cell's
+    outcome from the store the distillation sweep filled.  A corrupted
+    outcome is never kept, so that run derives each cell in both sweeps.
+    Either way the two sweeps report what they report on fresh stores."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return distill_step(*args)
+
+    cells = len(list(distillation_cells(3, 8, 14)))
+    assert cells == 74
+    monkeypatch.setattr(zstates.verify, "distill_step", counted)
+    results = run_verification(12, 3, seed=0, corrupt_alpha=corrupt_alpha)
+    assert len(calls) == cells * (2 if corrupt_alpha else 1)
+    assert results[3] == sweep_distillation(3, 8, 14, corrupt_alpha)
+    assert results[6] == sweep_selections(3, 8, 14, seed=0)
+
+
+def test_selection_sweep_checks_the_stored_outcome():
+    good = fresh_outcome(1, 3, 3)
+    store = {(1, 3, 3): DistillOutcome(good.post_state,
+                                       good.success_probability / 2)}
+    res = sweep_selections(1, 4, 8, seed=0, verdicts=store)
+    assert res.cells == 9
+    assert [f.split(": ", 1)[1] for f in res.failures] == [
+        "(k=1, N1=3, N2=3): oracle weight 2/9 != symbolic probability 1/9"]

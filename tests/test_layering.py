@@ -191,6 +191,18 @@ def test_protocol_builds_only_unit_states():
     assert imported <= {"BlockSum", "RegisterId", "z_state"}
 
 
+def test_plan_modules_import_no_dataclasses():
+    """The plan, report and document records are NamedTuples, built by one
+    tuple allocation.  Each dataclass costs about 1 ms of `exec` per fresh
+    import, and every command pays for the import."""
+    importers = [module for module in ("protocol", "distill", "plandoc", "cli")
+                 for node in ast.walk(parse(module))
+                 if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                 or isinstance(node, ast.Import)
+                 and any(alias.name == "dataclasses" for alias in node.names)]
+    assert importers == []
+
+
 def test_bench_tracer_names_exist():
     """A rename fails here rather than in `bench/run.py --trace 1`.  The
     tracer imports only the standard library; it is run, never installed."""
