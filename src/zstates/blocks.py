@@ -12,9 +12,9 @@ dividing amplitudes (which would drag in irrational square roots).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .combinatorics import binom
 
@@ -74,33 +74,16 @@ class ZBlock:
         return binom(self.register.width, self.excitations)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class BlockProduct:
     """Product of Z blocks over pairwise-distinct registers, sorted by label.
 
     :meth:`of` sorts the blocks and checks that their labels are distinct;
-    the algebra's own operations, whose outputs keep both invariants by
-    construction, call the constructor directly.  The key is computed once,
-    at construction: ``(label, width, excitations)`` of every block in
-    block order, flattened into one tuple.  Equality and hashing read it,
-    so two products are equal exactly when their blocks are.
+    operations whose outputs keep both invariants by construction call the
+    constructor directly.  Products compare, hash and sort by their blocks.
     """
 
     blocks: tuple[ZBlock, ...]
-    _key: tuple[Union[str, int], ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", tuple([
-            x for b in self.blocks
-            for x in (b.register.label, b.register.width, b.excitations)]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BlockProduct):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     @staticmethod
     def of(blocks: Iterable[ZBlock]) -> "BlockProduct":
@@ -122,7 +105,7 @@ class BlockSum:
     """Canonical rational combination of block products over one register set.
 
     Canonical means: like terms merged, zero coefficients dropped, every
-    coefficient a `Fraction`, terms sorted by product key, and every term
+    coefficient a `Fraction`, terms sorted by product blocks, and every term
     over the identical register set.  Use :func:`block_sum` to construct
     one; equality of canonical forms is exact symbolic equality.
 
@@ -142,31 +125,22 @@ class BlockSum:
         return not self.terms
 
 
-def _register_key(prod: BlockProduct) -> tuple[tuple, tuple]:
-    """The register part of a product's key: its labels and its widths."""
-    return prod._key[0::3], prod._key[1::3]
-
-
 def block_sum(pairs: Iterable[tuple[CoeffLike, BlockProduct]]) -> BlockSum:
     """Canonicalize (coefficient, product) pairs into a BlockSum.
 
     Coefficients are summed as given; each one that survives becomes a
     `Fraction` once.
     """
-    acc: dict[tuple, list] = {}
+    acc: dict[BlockProduct, CoeffLike] = {}
     for coeff, prod in pairs:
-        slot = acc.get(prod._key)
-        if slot is None:
-            acc[prod._key] = [coeff, prod]
-        else:
-            slot[0] += coeff
-    terms = tuple([(c if type(c) is Fraction else Fraction(c), p)
-                   for _, (c, p) in sorted(acc.items()) if c])
-    if len(terms) > 1:
-        regs = _register_key(terms[0][1])
-        for _, prod in terms[1:]:
-            if _register_key(prod) != regs:
-                raise ValueError("terms of a sum must share one register set")
+        old = acc.get(prod)
+        acc[prod] = coeff if old is None else old + coeff
+    terms = tuple(sorted(
+        [(c if type(c) is Fraction else Fraction(c), p) for p, c in acc.items() if c],
+        key=lambda term: term[1].blocks))
+    regs = terms[0][1].registers() if terms else ()
+    if any(p.registers() != regs for _, p in terms[1:]):
+        raise ValueError("terms of a sum must share one register set")
     return BlockSum(terms)
 
 
@@ -190,32 +164,14 @@ def registers_of(a: BlockSum) -> tuple[RegisterId, ...]:
     return a.terms[0][1].registers() if a.terms else ()
 
 
-def _label_order(labels: list[str]) -> Optional[list[int]]:
-    """Positions that put `labels` in sorted order; None if they already are."""
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    return None if order == list(range(len(labels))) else order
-
-
 def tensor(a: BlockSum, b: BlockSum) -> BlockSum:
     """Distributive product of sums over disjoint register sets."""
-    a_labels = [r.label for r in registers_of(a)]
-    b_labels = [r.label for r in registers_of(b)]
-    overlap = set(a_labels) & set(b_labels)
+    overlap = ({r.label for r in registers_of(a)}
+               & {r.label for r in registers_of(b)})
     if overlap:
         raise ValueError(f"register labels overlap: {sorted(overlap)}")
-    # Every term of a sum has the same labels, so one permutation sorts
-    # every concatenated product.
-    order = _label_order(a_labels + b_labels)
-    pairs = []
-    for ca, pa in a.terms:
-        for cb, pb in b.terms:
-            blocks = pa.blocks + pb.blocks
-            if order is not None:
-                blocks = tuple([blocks[i] for i in order])
-            pairs.append((Fraction(ca.numerator * cb.numerator,
-                                   ca.denominator * cb.denominator),
-                          BlockProduct(blocks)))
-    return block_sum(pairs)
+    return block_sum([(ca * cb, BlockProduct.of(pa.blocks + pb.blocks))
+                      for ca, pa in a.terms for cb, pb in b.terms])
 
 
 def _norm_sq(prod: BlockProduct) -> int:
@@ -233,22 +189,11 @@ def inner_product(a: BlockSum, b: BlockSum) -> Fraction:
     """
     if a.is_zero() or b.is_zero():
         return Fraction(0)
-    if _register_key(a.terms[0][1]) != _register_key(b.terms[0][1]):
+    if registers_of(a) != registers_of(b):
         raise ValueError("inner product requires matching register sets")
-    # Sum numerators over a running denominator; one Fraction at the end.
-    b_coeffs = None if a is b else {p._key: c for c, p in b.terms}
-    num, den = 0, 1
-    for ca, pa in a.terms:
-        cb = ca if b_coeffs is None else b_coeffs.get(pa._key)
-        if cb is None:
-            continue
-        n = ca.numerator * cb.numerator * _norm_sq(pa)
-        d = ca.denominator * cb.denominator
-        if d == den:
-            num += n
-        else:
-            num, den = num * d + n * den, den * d
-    return Fraction(num, den)
+    b_coeffs = {p: c for c, p in b.terms}
+    return sum([ca * b_coeffs[p] * _norm_sq(p)
+                for ca, p in a.terms if p in b_coeffs], Fraction(0))
 
 
 def norm_sq(a: BlockSum) -> Fraction:
@@ -291,18 +236,13 @@ def split_register(a: BlockSum, label: str, m: int,
         raise ValueError("new labels collide with existing registers")
     reg_left = RegisterId(label_left, m)
     reg_right = RegisterId(label_right, width - m)
-    order = _label_order(remaining + [label_left, label_right])
     pairs = []
     for coeff, prod in a.terms:
         k = prod.blocks[pos].excitations
         rest = prod.blocks[:pos] + prod.blocks[pos + 1:]
-        lo = max(0, k - reg_right.width)
-        hi = min(reg_left.width, k)
-        for j in range(lo, hi + 1):
-            blocks = rest + (ZBlock(reg_left, j), ZBlock(reg_right, k - j))
-            if order is not None:
-                blocks = tuple([blocks[i] for i in order])
-            pairs.append((coeff, BlockProduct(blocks)))
+        for j in range(max(0, k - reg_right.width), min(m, k) + 1):
+            pairs.append((coeff, BlockProduct.of(
+                rest + (ZBlock(reg_left, j), ZBlock(reg_right, k - j)))))
     return block_sum(pairs)
 
 
@@ -325,23 +265,16 @@ def merge_registers(a: BlockSum, label_left: str, label_right: str,
         raise ValueError(f"label {new_label!r} already in use")
     left, right = regs[li], regs[ri]
     merged = RegisterId(new_label, left.width + right.width)
-    rest_pos = [i for i in range(len(labels)) if i != li and i != ri]
 
-    # (rest excitations, total) -> (rest blocks, coefficient by left count)
-    groups: dict[tuple[tuple[int, ...], int],
-                 tuple[tuple[ZBlock, ...], dict[int, Fraction]]] = {}
+    # (rest blocks, total) -> coefficient by left count
+    groups: dict[tuple[tuple[ZBlock, ...], int], dict[int, Fraction]] = {}
     for coeff, prod in a.terms:
-        excs = prod._key[2::3]
-        j = excs[li]
-        group_key = (tuple([excs[i] for i in rest_pos]), j + excs[ri])
-        group = groups.get(group_key)
-        if group is None:
-            group = groups[group_key] = (
-                tuple([prod.blocks[i] for i in rest_pos]), {})
-        group[1][j] = coeff
+        rest = tuple([b for i, b in enumerate(prod.blocks) if i != li and i != ri])
+        j = prod.blocks[li].excitations
+        groups.setdefault((rest, j + prod.blocks[ri].excitations), {})[j] = coeff
 
     collected = []
-    for (_, total), (rest, by_j) in groups.items():
+    for (rest, total), by_j in groups.items():
         lo = max(0, total - right.width)
         hi = min(left.width, total)
         if set(by_j) != set(range(lo, hi + 1)):
@@ -371,24 +304,18 @@ def project_registers(a: BlockSum, target: BlockSum) -> BlockSum:
         if r not in a_regs:
             raise ValueError(
                 f"target register {r.label!r} not present with matching width")
-    # Index a's terms by their excitations on the target's registers, taken
-    # in the target's (label) order, so a target term meets only its matches.
+    # A term of `a` meets the target term whose excitations match its own on
+    # the target's registers, taken in the target's (label) order.
+    weights = {tuple([b.excitations for b in pt.blocks]): ct * _norm_sq(pt)
+               for ct, pt in target.terms}
     pos = [labels.index(r.label) for r in target_regs]
-    target_labels = {r.label for r in target_regs}
-    keep = [i for i, label in enumerate(labels) if label not in target_labels]
-    index: dict[tuple[int, ...], list[Term]] = {}
-    for ca, pa in a.terms:
-        excs = pa._key[2::3]
-        index.setdefault(tuple([excs[i] for i in pos]), []).append((ca, pa))
+    keep = [i for i in range(len(labels)) if i not in pos]
     pairs = []
-    for ct, pt in target.terms:
-        matches = index.get(pt._key[2::3])
-        if matches:
-            weight = ct.numerator * _norm_sq(pt)
-            for ca, pa in matches:
-                pairs.append((
-                    Fraction(weight * ca.numerator, ct.denominator * ca.denominator),
-                    BlockProduct(tuple([pa.blocks[i] for i in keep]))))
+    for ca, pa in a.terms:
+        weight = weights.get(tuple([pa.blocks[i].excitations for i in pos]))
+        if weight is not None:
+            pairs.append((weight * ca,
+                          BlockProduct(tuple([pa.blocks[i] for i in keep]))))
     return block_sum(pairs)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -192,7 +193,19 @@ def _load_plan(path_str: str) -> ProtocolPlan:
             raise _Exit(EXIT_BAD_INPUT,
                         f"cannot read {path_str}: the file has {size} bytes, "
                         f"more than the limit of {MAX_DOCUMENT_BYTES}")
-        text = path.read_text(encoding="utf-8")
+        with path.open("rb") as fh:
+            # `stat` sizes some paths wrongly (a pipe or /dev/zero has size
+            # 0), so the read is bounded too.  Asking for `size + 1` bytes
+            # first spares a file a buffer as large as the limit.
+            data = fh.read(size + 1)
+            if len(data) > size:
+                data += fh.read(MAX_DOCUMENT_BYTES - size)
+        if len(data) > MAX_DOCUMENT_BYTES:
+            raise _Exit(EXIT_BAD_INPUT,
+                        f"cannot read {path_str}: it holds more than the "
+                        f"limit of {MAX_DOCUMENT_BYTES} bytes")
+        # Decoded as a text-mode read decodes it, universal newlines included.
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _Exit(EXIT_BAD_INPUT, f"cannot read {path_str}: {exc}") from exc
     try:

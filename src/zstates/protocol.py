@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .blocks import BlockSum, RegisterId, z_state
+from .blocks import RegisterId, z_state
 from .combinatorics import binom, int_str
 from .distill import DistillationError, DistillOutcome, distill_step
 
@@ -97,8 +97,7 @@ class ExecutionReport(NamedTuple):
     cycles: tuple[CycleResult, ...]
     cumulative_success: Fraction
     ledger: ResourceLedger
-    final: StateRef
-    final_state: BlockSum
+    final: StateRef  # its state is the unit Z_k(n) on its id
 
 
 class InvalidPlanError(ValueError):
@@ -317,10 +316,6 @@ def execute_plan(plan: ProtocolPlan,
     """
     resolved = _resolve_valid(plan)
     refs, k = resolved.refs, plan.k
-
-    def unit(ref: StateRef) -> BlockSum:
-        return z_state(k, ref.n, RegisterId(ref.id, ref.n))
-
     # A plan without cycles derives nothing: beta_sq**0 is 1 whatever it is.
     beta_sq = _step_beta_sq(k) if plan.cycles else Fraction(1)
     num, den = beta_sq.numerator, beta_sq.denominator
@@ -329,16 +324,17 @@ def execute_plan(plan: ProtocolPlan,
         left, right, produced = refs[cyc.left], refs[cyc.right], refs[cyc.produced]
         probability = Fraction(num * binom(produced.n, k),
                                den * binom(left.n, k) * binom(right.n, k))
-        problems = None if oracle is None else oracle(
-            k, left.n, right.n, DistillOutcome(unit(produced), probability))
+        problems = None
+        if oracle is not None:
+            post = z_state(k, produced.n, RegisterId(produced.id, produced.n))
+            problems = oracle(k, left.n, right.n, DistillOutcome(post, probability))
         if problems:
             raise PlanExecutionError(
                 i, "oracle disagreement: " + "; ".join(problems))
         results.append(CycleResult(left, right, produced, probability,
                                    problems is not None))
     return ExecutionReport(tuple(results), _telescoped(plan, resolved, beta_sq),
-                           _ledger(plan, resolved), resolved.final,
-                           unit(resolved.final))
+                           _ledger(plan, resolved), resolved.final)
 
 
 def check_cycle_count(cycles: int) -> None:

@@ -15,6 +15,11 @@ def linear_combination(*scaled):
                       for c, s in scaled for coeff, prod in s.terms])
 
 
+def unit_state(ref):
+    """The unit Z_k(n) on a plan state's own id: every plan state's state."""
+    return z_state(ref.k, ref.n, RegisterId(ref.id, ref.n))
+
+
 def fresh_outcome(k, n1, n2):
     """The outcome of one distillation step on fresh Z_k(n1), Z_k(n2)."""
     return distill_step(z_state(k, n1, RegisterId("A", n1)),

@@ -9,7 +9,7 @@ lines as they complete.
 import json
 from fractions import Fraction
 
-from conftest import fresh_outcome
+from conftest import fresh_outcome, unit_state
 from zstates import (
     BlockSum,
     NotCollectibleError,
@@ -117,7 +117,7 @@ def test_05_lossless_plan():
                     continue
                 report = execute_plan(plan)
                 ledger = report.ledger
-                if report.final_state != z_state(k, n1 + n2, report.final.id):
+                if unit_state(report.final) != z_state(k, n1 + n2, report.final.id):
                     failures.append(f"(k={k}, {n1}, {n2}) wrong final state")
                 if ledger.ancilla_qubits != 4 * k or ledger.consumed_qubits != 4 * k:
                     failures.append(f"(k={k}, {n1}, {n2}) wrong ledger")
@@ -133,7 +133,7 @@ def test_06_incremental_schedule():
             failures.append(f"N={n}: {len(plan.cycles)} cycles")
             continue
         report = execute_plan(plan)
-        if report.final_state != z_state(1, n, report.final.id):
+        if unit_state(report.final) != z_state(1, n, report.final.id):
             failures.append(f"N={n}: wrong final state")
     _finish("incremental schedule, 4 <= N <= 12", failures)
 

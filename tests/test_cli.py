@@ -376,6 +376,27 @@ def test_ledger_sums_past_the_int_digit_limit(tmp_path, capsys):
     assert run_cli(capsys, "graph", str(path))[0] == 0
 
 
+def test_graph_spells_sizes_past_the_int_digit_limit(tmp_path, capsys):
+    """An unconsumed product of 4,301 digits still draws: its label is spelled
+    exactly, as the run report spells it."""
+    n = 10 ** 4300 - 1
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "mode": "explicit", "k": 1, "target_n": 4,
+        "inputs": [{"id": "A", "k": 1, "n": n}, {"id": "B", "k": 1, "n": n},
+                   {"id": "C", "k": 1, "n": 3}, {"id": "D", "k": 1, "n": 3}],
+        "ancillas": [],
+        "cycles": [{"left": "A", "right": "B", "produced": "P"},
+                   {"left": "C", "right": "D", "produced": "F"}],
+    }))
+    assert run_cli(capsys, "run", str(path))[0] == 0
+    code, dot, err = run_cli(capsys, "graph", str(path))
+    assert (code, err) == (0, "")
+    size = str(Decimal(2 * n - 2))
+    assert len(size) == 4301
+    assert f'"P" [shape=box, style=rounded, label="Z_1({size})"];' in dot
+
+
 def test_python_m_zstates():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -534,11 +555,34 @@ def test_a_document_past_the_size_limit_is_not_read(tmp_path, capsys,
     def unread(*args, **kwargs):
         raise AssertionError("the document was read")
 
-    monkeypatch.setattr(Path, "read_text", unread)
+    monkeypatch.setattr(Path, "open", unread)
     for command in ("run", "graph"):
         assert run_cli(capsys, command, str(path)) == (
             2, "", f"cannot read {path}: the file has {MAX_DOCUMENT_BYTES + 1} "
                    f"bytes, more than the limit of {MAX_DOCUMENT_BYTES}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_endless_stream_is_read_only_to_the_limit(capsys, monkeypatch):
+    """`stat` gives /dev/zero size 0, so the size check passes it; the read
+    stops one byte past the limit and the command exits 2 with one line."""
+    import zstates.cli
+
+    monkeypatch.setattr(zstates.cli, "MAX_DOCUMENT_BYTES", 4096)
+    for command in ("run", "graph"):
+        assert run_cli(capsys, command, "/dev/zero") == (
+            2, "", "cannot read /dev/zero: it holds more than the limit of "
+                   "4096 bytes\n")
+
+
+def test_a_crlf_document_reports_json_errors_at_text_offsets(tmp_path, capsys):
+    """Line ends read as a text-mode read gives them: CRLF and CR count as one
+    character each in a JSON error's offset."""
+    path = tmp_path / "plan.json"
+    path.write_bytes(b'{\r\n"k": \r}')
+    assert run_cli(capsys, "run", str(path)) == (
+        2, "", "malformed plan document: not valid JSON: Expecting value: "
+               "line 3 column 1 (char 8)\n")
 
 
 def test_graph_invalid_plan_exits_3(tmp_path, capsys):

@@ -17,6 +17,7 @@ from zstates import (
     dense_project,
     dense_z,
     inner_product,
+    merge_registers,
     permute_qubits,
     project_registers,
     proportionality,
@@ -69,8 +70,6 @@ def test_to_dense_split_preserves_amplitudes():
 
 
 def test_to_dense_commutes_with_merge():
-    from zstates import merge_registers
-
     for k, n, m in [(1, 3, 1), (2, 6, 3), (3, 7, 4)]:
         split = split_register(z_state(k, n, "q"), "q", m, ("qa", "qb"))
         before = to_dense(split)
@@ -90,6 +89,45 @@ def test_to_dense_commutes_with_tensor():
                 for ka, va in da.amplitudes.items()
                 for kb, vb in db.amplitudes.items()}
     assert joint == DenseState(da.width + db.width, expected, da.scale * db.scale)
+
+
+@st.composite
+def interleaved_sums(draw):
+    """Nonzero sums `a` on registers r0, r2 and `b` on r1, r3, and a split
+    point of r3: in label order neither sum's registers come first."""
+    regs = [RegisterId(f"r{i}", draw(st.integers(1, 3))) for i in range(4)]
+    a = draw(block_sums(registers=regs[0::2]))
+    b = draw(block_sums(registers=regs[1::2]))
+    return a, b, draw(st.integers(0, regs[3].width))
+
+
+@settings(max_examples=60)
+@given(interleaved_sums())
+def test_tensor_interleaves_labels(case):
+    """The tensor of interleaved sums is the Kronecker product of their
+    expansions with its qubits permuted into label order, whichever operand
+    comes first; and r3 split into labels that sort among the others merges
+    back."""
+    a, b, m = case
+    assume(not a.is_zero() and not b.is_zero())
+    joint = tensor(a, b)
+    assert tensor(b, a) == joint
+
+    da, db = to_dense(a), to_dense(b)
+    kron = DenseState(da.width + db.width,
+                      {(ka << db.width) | kb: va * vb
+                       for ka, va in da.amplitudes.items()
+                       for kb, vb in db.amplitudes.items()},
+                      da.scale * db.scale)
+    widths = [r.width for r in registers_of(joint)]
+    offsets = [sum(widths[:i]) for i in range(4)]
+    perm = [offsets[r] + q for r in (0, 2, 1, 3) for q in range(widths[r])]
+    assert to_dense(joint) == permute_qubits(kron, perm)
+
+    split = split_register(joint, "r3", m, ("r0x", "r2x"))
+    assert [r.label for r in registers_of(split)] == ["r0", "r0x", "r1", "r2",
+                                                      "r2x"]
+    assert merge_registers(split, "r0x", "r2x", "r3") == (joint, True)
 
 
 # -------------------------------------------------------------- dense_inner

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import unit_state
 import zstates.distill
 import zstates.protocol
 import zstates.verify
@@ -121,14 +122,14 @@ def test_validate_flags_states_with_more_excitations_than_qubits():
 
 def test_execute_single_cycle():
     report = execute_plan(single_cycle_plan(), check_distillation_cell)
-    assert report.final_state == z_state(1, 4, "out")
+    assert report.final == StateRef("out", 1, 4)
     assert report.cumulative_success == Fraction(2, 9)
     assert report.cycles[0].oracle_checked
 
 
 def test_execute_exact_plan():
     report = execute_plan(gen_exact_plan(1, 3, 3))
-    assert report.final_state == z_state(1, 6, "out")
+    assert report.final == StateRef("out", 1, 6)
     assert [c.probability for c in report.cycles] == [Fraction(5, 24), Fraction(1, 5)]
     led = report.ledger
     assert (led.input_qubits, led.ancilla_qubits, led.consumed_qubits,
@@ -139,8 +140,7 @@ def test_execute_empty_plan():
     report = execute_plan(gen_incremental_plan(1, 3))
     assert report.cumulative_success == 1
     assert report.cycles == ()
-    assert report.final.n == 3
-    assert report.final_state == z_state(1, 3, "base1")
+    assert report.final == StateRef("base1", 1, 3)
 
 
 def test_execute_oracle_verdicts():
@@ -151,7 +151,7 @@ def test_execute_oracle_verdicts():
     # The oracle is handed each cycle's own outcome.
     assert [o.success_probability for o in seen] == [
         c.probability for c in report.cycles]
-    assert seen[-1].post_state == report.final_state
+    assert seen[-1].post_state == unit_state(report.final)
     with pytest.raises(PlanExecutionError, match="cycle 1: oracle disagreement: off"):
         execute_plan(plan, lambda k, n1, n2, outcome: ["off"] if n1 == 5 else [])
 
@@ -247,7 +247,7 @@ def fresh_run(plan, step=distill_step):
     """Every cycle derived afresh, base states built up front: the loop
     `execute_plan` must match exactly."""
     refs = {r.id: r for r in (*plan.inputs, *plan.ancillas)}
-    states = {r.id: z_state(r.k, r.n, RegisterId(r.id, r.n)) for r in refs.values()}
+    states = {r.id: unit_state(r) for r in refs.values()}
     results, cumulative = [], Fraction(1)
     for cyc in plan.cycles:
         left, right = refs[cyc.left], refs[cyc.right]
@@ -279,7 +279,7 @@ MEMO_PLANS = {**{f"exponential-k{k}-n{n}": gen_exponential_plan(k, n)
 def test_memoised_run_matches_fresh_derivations(name):
     plan = MEMO_PLANS[name]
     report = execute_plan(plan)
-    assert (report.cycles, report.cumulative_success, report.final_state) == \
+    assert (report.cycles, report.cumulative_success, unit_state(report.final)) == \
         fresh_run(plan)
 
 
@@ -328,7 +328,7 @@ def test_one_derivation_sizes_every_width(k):
             report = execute_plan(single_cycle_plan(k, n1, n2))
             step = distill_step(z_state(k, n1, "a"), z_state(k, n2, "b"),
                                 out_label="out")
-            assert (report.cycles[0].probability, report.final_state) == \
+            assert (report.cycles[0].probability, unit_state(report.final)) == \
                 (step.success_probability, step.post_state)
 
 
@@ -395,7 +395,7 @@ def test_random_plan_forests(plan):
     lies deeper, ends at the final state; and at k <= 2 the oracle checks
     exactly the cycles within the dense cap."""
     report = execute_plan(plan)
-    assert (report.cycles, report.cumulative_success, report.final_state) == \
+    assert (report.cycles, report.cumulative_success, unit_state(report.final)) == \
         fresh_run(plan)
     led = report.ledger
     assert led.output_qubits == (led.input_qubits + led.ancilla_qubits
@@ -470,7 +470,7 @@ def test_incremental_w6_sequence():
     assert len(plan.cycles) == 3
     report = execute_plan(plan)
     assert [c.produced.n for c in report.cycles] == [4, 5, 6]
-    assert report.final_state == z_state(1, 6, "s3")
+    assert report.final == StateRef("s3", 1, 6)
 
 
 def test_incremental_base_case_has_no_cycles():
@@ -529,7 +529,7 @@ def test_exponential_w10_path():
     assert len(plan.cycles) == 7
     report = execute_plan(plan)
     assert report.ledger.depth == 3
-    assert report.final_state == z_state(1, 10, plan.cycles[-1].produced)
+    assert report.final == StateRef(plan.cycles[-1].produced, 1, 10)
 
 
 def test_exponential_first_step_matches_incremental():
