@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Optional
+from typing import Optional, TextIO
 
 from .combinatorics import int_str
 from .dense import DENSE_CAP
@@ -30,12 +30,14 @@ from .plandoc import (
     render_document,
 )
 from .protocol import (
+    CycleResult,
     ExecutionReport,
     InvalidPlanError,
     PlanExecutionError,
     ProtocolPlan,
     ResourceLedger,
     StateRef,
+    chunk_ranges,
     execute_plan,
 )
 from .verify import check_distillation_cell, run_verification
@@ -132,47 +134,59 @@ _JSON_CYCLE = ('    {\n      "index": %d,\n      "left": %s,\n      "right": %s,
                '      "oracle_checked": %s\n    }')
 
 
-def report_to_json(plan: ProtocolPlan, report: ExecutionReport) -> str:
-    """Machine-readable report as `json.dump(..., indent=2)` writes it, each
-    probability an exact `num`/`den` pair.  The tail is formatted first, so
-    an int past `str`'s digit limit raises ValueError before any cycle is."""
-    cumulative, final = report.cumulative_success, report.final
+def _json_cycle(i: int, r: CycleResult) -> str:
+    return _JSON_CYCLE % (i, _quote(r.left.id), _quote(r.right.id),
+                          _quote(r.produced.id), r.produced.k, r.produced.n,
+                          r.probability.numerator, r.probability.denominator,
+                          "true" if r.oracle_checked else "false")
+
+
+def report_to_json(plan: ProtocolPlan, report: ExecutionReport,
+                   out: TextIO) -> None:
+    """Write the machine-readable report to `out` as `json.dump(..., indent=2)`
+    writes it, each probability an exact `num`/`den` pair.  Every chunk is
+    formatted before the first is written, so an int past `str`'s digit
+    limit raises ValueError with nothing written; the tail is formatted
+    first, so it raises before any cycle is formatted."""
+    cumulative, final, cycles = report.cumulative_success, report.final, report.cycles
     tail = (f'  "cumulative_probability": {{\n    "num": {cumulative.numerator},'
             f'\n    "den": {cumulative.denominator}\n  }},\n  "ledger": {{\n    '
             + ",\n    ".join([f'"{name}": {value}'
                               for name, value in _ledger_items(report.ledger)])
             + "\n  }\n}\n")
-    cycles = ",\n".join([
-        _JSON_CYCLE % (i, _quote(r.left.id), _quote(r.right.id),
-                       _quote(r.produced.id), r.produced.k, r.produced.n,
-                       r.probability.numerator, r.probability.denominator,
-                       "true" if r.oracle_checked else "false")
-        for i, r in enumerate(report.cycles)])
-    return (f'{{\n  "schema_version": 1,\n  "k": {plan.k},\n  "final": {{\n'
-            f'    "id": {_quote(final.id)},\n    "k": {final.k},\n'
-            f'    "n": {final.n}\n  }},\n  "cycles": '
-            + (f"[\n{cycles}\n  ],\n" if cycles else "[],\n") + tail)
+    chunks = [f'{{\n  "schema_version": 1,\n  "k": {plan.k},\n  "final": {{\n'
+              f'    "id": {_quote(final.id)},\n    "k": {final.k},\n'
+              f'    "n": {final.n}\n  }},\n  "cycles": ']
+    for part in chunk_ranges(len(cycles)):
+        chunks += [",\n" if part.start else "[\n",
+                   ",\n".join([_json_cycle(i, cycles[i]) for i in part])]
+    chunks.append(("\n  ],\n" if len(cycles) else "[],\n") + tail)
+    out.writelines(chunks)
 
 
-def report_to_text(plan: ProtocolPlan, report: ExecutionReport) -> str:
-    """Human-readable report; decimals are labelled approximate with `~`."""
-    lines = [f"plan: k={plan.k} cycles={len(plan.cycles)} "
-             f"target=Z_{plan.k}({plan.target_n})"]
-    for i, r in enumerate(report.cycles):
-        oracle = "  [oracle ok]" if r.oracle_checked else ""
-        lines.append(
-            f"cycle {i + 1}: {_state_str(r.left)}[{r.left.id}] + "
+def _text_cycle(i: int, r: CycleResult) -> str:
+    return (f"cycle {i + 1}: {_state_str(r.left)}[{r.left.id}] + "
             f"{_state_str(r.right)}[{r.right.id}] -> "
             f"{_state_str(r.produced)}[{r.produced.id}]  "
-            f"p = {_frac_str(r.probability)} "
-            f"(~ {approx_decimal(r.probability)}){oracle}")
-    lines.append("cumulative success probability: "
-                 f"{_frac_str(report.cumulative_success)} "
-                 f"(~ {approx_decimal(report.cumulative_success)})")
-    lines.append("ledger: " + " ".join(
-        [f"{name}={int_str(value)}" for name, value in _ledger_items(report.ledger)]))
-    lines.append(f"final: {_state_str(report.final)}\n")
-    return "\n".join(lines)
+            f"p = {_frac_str(r.probability)} (~ {approx_decimal(r.probability)})"
+            f"{'  [oracle ok]' if r.oracle_checked else ''}\n")
+
+
+def report_to_text(plan: ProtocolPlan, report: ExecutionReport,
+                   out: TextIO) -> None:
+    """Write the human-readable report to `out`, a chunk of cycles at a
+    time; decimals are labelled approximate with `~`."""
+    cycles = report.cycles
+    out.write(f"plan: k={plan.k} cycles={len(plan.cycles)} "
+              f"target=Z_{plan.k}({plan.target_n})\n")
+    for part in chunk_ranges(len(cycles)):
+        out.write("".join([_text_cycle(i, cycles[i]) for i in part]))
+    out.write("cumulative success probability: "
+              f"{_frac_str(report.cumulative_success)} "
+              f"(~ {approx_decimal(report.cumulative_success)})\n"
+              "ledger: " + " ".join([f"{name}={int_str(value)}" for name, value
+                                     in _ledger_items(report.ledger)])
+              + f"\nfinal: {_state_str(report.final)}\n")
 
 
 def _max_digits(report: ExecutionReport) -> int:
@@ -246,22 +260,21 @@ def cmd_run(args: argparse.Namespace) -> int:
               if args.verify_with_oracle else None)
     report = execute_plan(plan, oracle)
     if args.report == "text":
-        text = report_to_text(plan, report)
-    else:
-        try:
-            text = report_to_json(plan, report)
-        except ValueError as exc:
-            raise _Exit(EXIT_RUNTIME,
-                        f"cannot write the JSON report: an integer in it has "
-                        f"{_max_digits(report)} digits, past Python's "
-                        f"{sys.get_int_max_str_digits()}-digit limit for "
-                        f"writing ints") from exc
-    sys.stdout.write(text)
+        report_to_text(plan, report, sys.stdout)
+        return EXIT_OK
+    try:
+        report_to_json(plan, report, sys.stdout)
+    except ValueError as exc:
+        raise _Exit(EXIT_RUNTIME,
+                    f"cannot write the JSON report: an integer in it has "
+                    f"{_max_digits(report)} digits, past Python's "
+                    f"{sys.get_int_max_str_digits()}-digit limit for "
+                    f"writing ints") from exc
     return EXIT_OK
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    sys.stdout.write(plan_to_dot(_load_plan(args.plan_file)))
+    plan_to_dot(_load_plan(args.plan_file), sys.stdout)
     return EXIT_OK
 
 

@@ -14,8 +14,16 @@ other ids never start with `~`, and the prefix keeps distinct ids distinct.
 
 from __future__ import annotations
 
+from typing import TextIO
+
 from .combinatorics import int_str
-from .protocol import ProtocolPlan, _resolve_valid
+from .protocol import (
+    Cycle,
+    ProtocolPlan,
+    StateRef,
+    _resolve_valid,
+    chunk_ranges,
+)
 
 __all__ = ["plan_to_dot"]
 
@@ -24,25 +32,31 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def plan_to_dot(plan: ProtocolPlan) -> str:
-    """DOT source for a plan; raises InvalidPlanError if it does not validate."""
+def plan_to_dot(plan: ProtocolPlan, out: TextIO) -> None:
+    """Write DOT source for a plan to `out`, a chunk of states or cycles at a
+    time; raises InvalidPlanError, with nothing written, if it does not
+    validate."""
     refs = _resolve_valid(plan).refs
     node = {i: _quote("~" + i if i.startswith(("proj", "~")) else i)
             for i in refs}
     k = int_str(plan.k)  # a valid plan's states all have the plan's k
     consume = _quote(f"consume {int_str(2 * plan.k)}")
-    lines = ["digraph plan {", "  rankdir=LR;"]
-    for ref in (*plan.inputs, *plan.ancillas):
-        lines.append(f"  {node[ref.id]} [shape=box, style=rounded, "
-                     f"label={_quote(f'Z_{k}({int_str(ref.n)})')}];")
-    for i, cyc in enumerate(plan.cycles):
+    bases, cycles = (*plan.inputs, *plan.ancillas), plan.cycles
+
+    def state(ref: StateRef) -> str:
+        return (f"  {node[ref.id]} [shape=box, style=rounded, "
+                f"label={_quote(f'Z_{k}({int_str(ref.n)})')}];\n")
+
+    def projection(i: int, cyc: Cycle) -> str:
         proj = _quote(f"proj{i}")
-        out = refs[cyc.produced]
-        lines.append(f"  {proj} [shape=rarrow, label={consume}];")
-        lines.append(f"  {node[out.id]} [shape=box, style=rounded, "
-                     f"label={_quote(f'Z_{k}({int_str(out.n)})')}];")
-        lines.append(f"  {node[cyc.left]} -> {proj};")
-        lines.append(f"  {node[cyc.right]} -> {proj};")
-        lines.append(f"  {proj} -> {node[out.id]};")
-    lines.append("}\n")
-    return "\n".join(lines)
+        return (f"  {proj} [shape=rarrow, label={consume}];\n"
+                + state(refs[cyc.produced])
+                + f"  {node[cyc.left]} -> {proj};\n  {node[cyc.right]} -> "
+                f"{proj};\n  {proj} -> {node[cyc.produced]};\n")
+
+    out.write("digraph plan {\n  rankdir=LR;\n")
+    for part in chunk_ranges(len(bases)):
+        out.write("".join([state(bases[i]) for i in part]))
+    for part in chunk_ranges(len(cycles)):
+        out.write("".join([projection(i, cycles[i]) for i in part]))
+    out.write("}\n")

@@ -9,7 +9,9 @@ Every cycle takes the same step, derived once per run; a cycle's success
 probability follows from the norms C(n, k) of its three states.  Cycles act
 on disjoint fresh states (the dataflow rules enforce single consumption),
 so the probability that an entire plan succeeds is the product of its
-per-cycle success probabilities, a product that telescopes.
+per-cycle success probabilities, a product that telescopes.  A report's
+summary is computed from the resolve pass and the one step; its cycle
+results are built when they are read, so a report holds no per-cycle record.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ __all__ = [
     "InvalidPlanError",
     "PlanExecutionError",
     "MAX_CYCLES",
+    "MAX_K",
+    "CHUNK_CYCLES",
+    "chunk_ranges",
     "check_cycle_count",
     "validate_plan",
     "execute_plan",
@@ -43,6 +48,13 @@ __all__ = [
 # The most cycles a plan may have, checked before any cycle is built: 250
 # times the largest plans the benchmark runs (about 4,000 cycles).
 MAX_CYCLES = 10 ** 6
+# The largest k a plan may have, checked before the step is derived: the one
+# derivation a run makes grows as k squared, and at k = 256 it takes about
+# 0.9 s and 23 MB on a 2-vCPU x86 host.
+MAX_K = 256
+# Reports and graphs are written this many cycles at a time, so a writer
+# holds one chunk of a plan's output, never all of it.
+CHUNK_CYCLES = 256
 
 # oracle(k, n1, n2, outcome): the problems it finds in the outcome of one step
 # on Z_k(n1), Z_k(n2) (empty when it agrees), or None beyond its reach.  The
@@ -93,8 +105,49 @@ class ResourceLedger(NamedTuple):
     depth: int
 
 
+class _CycleResults:
+    """A report's cycle results, each built when it is read, from the
+    resolved states and the step's beta_sq: a report holds no per-cycle
+    record.  It has a length, can be indexed and iterated any number of
+    times, and equals another report's results when they hold equal
+    records.  `checked` flags the cycles the oracle replayed (None: none).
+    """
+
+    __slots__ = ("_cycles", "_refs", "_k", "_num", "_den", "_checked")
+
+    def __init__(self, plan: ProtocolPlan, refs: dict[str, StateRef],
+                 beta_sq: Fraction, checked: Optional[bytearray]) -> None:
+        self._cycles, self._refs, self._k = plan.cycles, refs, plan.k
+        self._num, self._den = beta_sq.numerator, beta_sq.denominator
+        self._checked = checked
+
+    def __len__(self) -> int:
+        return len(self._cycles)
+
+    def __getitem__(self, i: int) -> CycleResult:
+        cyc = self._cycles[i]
+        refs, k = self._refs, self._k
+        left, right, produced = refs[cyc.left], refs[cyc.right], refs[cyc.produced]
+        return CycleResult(
+            left, right, produced,
+            Fraction(self._num * binom(produced.n, k),
+                     self._den * binom(left.n, k) * binom(right.n, k)),
+            self._checked is not None and self._checked[i] == 1)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._cycles)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _CycleResults):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 class ExecutionReport(NamedTuple):
-    cycles: tuple[CycleResult, ...]
+    cycles: _CycleResults
     cumulative_success: Fraction
     ledger: ResourceLedger
     final: StateRef  # its state is the unit Z_k(n) on its id
@@ -138,6 +191,8 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
     k = plan.k
     if k < 1:
         v.append(f"plan k must be >= 1, got {int_str(k)}")
+    elif k > MAX_K:
+        v.append(f"plan k must be at most {MAX_K}, got {int_str(k)}")
     refs: dict[str, StateRef] = {}
     for origin, declared in (("input", plan.inputs), ("ancilla", plan.ancillas)):
         for ref in declared:
@@ -309,32 +364,37 @@ def execute_plan(plan: ProtocolPlan,
     fixed by its size, so the step is derived once per call (see
     `_step_beta_sq`), each cycle is sized by the norms C(n, k) of its three
     states, and the cumulative probability telescopes (see `_telescoped`).
+    The report's `cycles` build each cycle's result when it is read.
     With an `oracle`, each cycle's outcome, its unit post state under the
-    cycle's own produced id, is also checked by it: a cycle it reports
-    problems for fails, one it returns None for (beyond its reach) stays
-    unchecked.  Errors name the failing cycle index.
+    cycle's own produced id, is also checked by it before this returns: a
+    cycle it reports problems for fails, one it returns None for (beyond
+    its reach) stays unchecked.  Errors name the failing cycle index.
     """
     resolved = _resolve_valid(plan)
-    refs, k = resolved.refs, plan.k
+    k = plan.k
     # A plan without cycles derives nothing: beta_sq**0 is 1 whatever it is.
     beta_sq = _step_beta_sq(k) if plan.cycles else Fraction(1)
-    num, den = beta_sq.numerator, beta_sq.denominator
-    results: list[CycleResult] = []
-    for i, cyc in enumerate(plan.cycles):
-        left, right, produced = refs[cyc.left], refs[cyc.right], refs[cyc.produced]
-        probability = Fraction(num * binom(produced.n, k),
-                               den * binom(left.n, k) * binom(right.n, k))
-        problems = None
-        if oracle is not None:
-            post = z_state(k, produced.n, RegisterId(produced.id, produced.n))
-            problems = oracle(k, left.n, right.n, DistillOutcome(post, probability))
-        if problems:
-            raise PlanExecutionError(
-                i, "oracle disagreement: " + "; ".join(problems))
-        results.append(CycleResult(left, right, produced, probability,
-                                   problems is not None))
-    return ExecutionReport(tuple(results), _telescoped(plan, resolved, beta_sq),
+    checked = None if oracle is None else bytearray(len(plan.cycles))
+    cycles = _CycleResults(plan, resolved.refs, beta_sq, checked)
+    if oracle is not None:
+        # Checked before any report is written, so a run whose oracle
+        # disagrees writes nothing; only a flag per cycle is kept.
+        for i, r in enumerate(cycles):
+            post = z_state(k, r.produced.n, RegisterId(r.produced.id, r.produced.n))
+            problems = oracle(k, r.left.n, r.right.n,
+                              DistillOutcome(post, r.probability))
+            if problems:
+                raise PlanExecutionError(
+                    i, "oracle disagreement: " + "; ".join(problems))
+            checked[i] = problems is not None
+    return ExecutionReport(cycles, _telescoped(plan, resolved, beta_sq),
                            _ledger(plan, resolved), resolved.final)
+
+
+def chunk_ranges(count: int) -> list[range]:
+    """The indexes 0..count-1 in consecutive ranges of CHUNK_CYCLES."""
+    return [range(start, min(start + CHUNK_CYCLES, count))
+            for start in range(0, count, CHUNK_CYCLES)]
 
 
 def check_cycle_count(cycles: int) -> None:
@@ -347,6 +407,8 @@ def check_cycle_count(cycles: int) -> None:
 def _check_generator_domain(k: int, n: int, name: str, minimum: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if k > MAX_K:
+        raise ValueError(f"k must be at most {MAX_K}, got {k}")
     if n < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {n}")
 

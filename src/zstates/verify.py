@@ -114,8 +114,10 @@ def sweep_composition(max_n: int) -> SweepResult:
 
 
 def distillation_cells(max_k: int, max_operand_n: int, max_total_n: int):
-    """Totals stop at the dense cap as well, so the oracle replays every cell."""
-    for k in range(1, max_k + 1):
+    """Totals stop at the dense cap as well, so the oracle replays every cell.
+    No k past max_operand_n // 2 has a cell (an operand holds n >= 2k), so
+    k stops there, however large max_k is."""
+    for k in range(1, min(max_k, max_operand_n // 2) + 1):
         for n1 in range(2 * k, max_operand_n + 1):
             for n2 in range(2 * k, max_operand_n + 1):
                 if n1 + n2 <= min(max_total_n, DENSE_CAP):

@@ -1,6 +1,7 @@
 """Command line round trips, report formats, and exit codes."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from zstates.dense import dense_project
 from zstates.distill import success_probability
 from zstates.plandoc import MAX_DOCUMENT_BYTES, document_to_plan, parse_document
 from zstates.protocol import (
+    MAX_K,
     Cycle,
     ProtocolPlan,
     StateRef,
@@ -26,10 +28,17 @@ from zstates.protocol import (
     gen_exponential_plan,
     gen_incremental_plan,
 )
-from zstates.verify import check_distillation_cell
+from zstates.verify import check_distillation_cell, distillation_cells
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def written(writer, *args):
+    """What a report or graph writer writes to a fresh stream."""
+    out = io.StringIO()
+    writer(*args, out)
+    return out.getvalue()
 
 
 def run_cli(capsys, *argv):
@@ -163,7 +172,7 @@ def reference_json(plan, report):
 
 def assert_json_report_matches(plan, oracle=None):
     report = execute_plan(plan, oracle)
-    assert report_to_json(plan, report) == reference_json(plan, report)
+    assert written(report_to_json, plan, report) == reference_json(plan, report)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
@@ -283,6 +292,35 @@ def test_no_verdict_outlives_its_run(tmp_path, capsys, monkeypatch):
                    f"N2=7): oracle weight {p + 1} != closed form {p}\n")
 
 
+def test_a_late_oracle_disagreement_writes_no_stdout(tmp_path, capsys,
+                                                    monkeypatch):
+    """A projection that is wrong only at width 20 fails exponential k=3 to
+    31 qubits at its first cycle on a 20-qubit cell, which comes after
+    cycles that pass.  Every cycle is checked before the first byte is
+    written, so neither report writes any of the cycles before it."""
+    path = write_plan(tmp_path, capsys, "--mode", "exponential", "--k", "3",
+                      "--n-target", "31")
+    plan = gen_exponential_plan(3, 31)
+    refs = {r.id: r.n for r in plan.inputs}
+    for cyc in plan.cycles:
+        refs[cyc.produced] = refs[cyc.left] + refs[cyc.right] - 6
+    late = next(i for i, cyc in enumerate(plan.cycles)
+                if refs[cyc.left] + refs[cyc.right] == 20)
+    assert late > 0
+
+    def wrong_at_20(state, qubits, target):
+        remainder, weight = dense_project(state, qubits, target)
+        return remainder, weight + (state.width == 20)
+
+    monkeypatch.setattr(zstates.verify, "dense_project", wrong_at_20)
+    for report in ("text", "json"):
+        code, out, err = run_cli(capsys, "run", str(path),
+                                 "--verify-with-oracle", "--report", report)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"cycle {late}: oracle disagreement: "
+                              f"(k=3, N1=10, N2=10): ")
+
+
 def test_no_dense_cap_setting(tmp_path, capsys):
     """The oracle's reach is fixed: neither a flag nor a document field sets it."""
     path = write_plan(tmp_path, capsys, "--mode", "exact", "--k", "1",
@@ -339,16 +377,17 @@ def test_reports_past_the_int_digit_limit(tmp_path, capsys):
 
 def test_json_report_refuses_before_formatting_any_cycle(monkeypatch):
     """The cumulative and the ledger are formatted first: a report whose
-    cumulative is past `str`'s digit limit quotes no id before it raises."""
+    cumulative is past `str`'s digit limit quotes no id before it raises,
+    and writes nothing."""
     import zstates.cli
 
     plan = gen_exponential_plan(3, 1600)
     report = execute_plan(plan)
-    quoted = []
+    quoted, out = [], io.StringIO()
     monkeypatch.setattr(zstates.cli, "_quote", quoted.append)
     with pytest.raises(ValueError):
-        report_to_json(plan, report)
-    assert quoted == []
+        report_to_json(plan, report, out)
+    assert (quoted, out.getvalue()) == ([], "")
 
 
 def test_ledger_sums_past_the_int_digit_limit(tmp_path, capsys):
@@ -543,6 +582,47 @@ def test_an_explicit_plan_past_the_cycle_limit_exits_3(tmp_path, capsys,
     assert run_cli(capsys, "run", str(path))[0] == 0
 
 
+def test_k_past_the_limit_is_refused_before_any_derivation(tmp_path, capsys,
+                                                          monkeypatch):
+    """Past `MAX_K`, `plan` exits 2, and `run` and `graph` exit 3, on a
+    generated and on an explicit document, each with one stderr line naming
+    k and the limit, and no step is derived.  At `MAX_K` the step is
+    derived (here: the derivation raises, so `run` exits 4)."""
+    import zstates.protocol
+
+    def derived(*args, **kwargs):
+        raise ValueError("a step was derived")
+
+    monkeypatch.setattr(zstates.protocol, "distill_step", derived)
+    k = MAX_K + 1
+    code, out, err = run_cli(capsys, "plan", "--mode", "exact", "--k", str(k),
+                             "--n1", str(2 * k), "--n2", str(2 * k))
+    assert (code, out, err) == (2, "", f"k must be at most {MAX_K}, got {k}\n")
+    for mode in ("incremental", "exponential"):
+        assert run_cli(capsys, "plan", "--mode", mode, "--k", str(k),
+                       "--n-target", str(4 * k)) == (
+            2, "", f"k must be at most {MAX_K}, got {k}\n")
+
+    def explicit(k):
+        return {"schema_version": 1, "mode": "explicit", "k": k,
+                "target_n": 2 * k,
+                "inputs": [{"id": i, "k": k, "n": 2 * k} for i in "ab"],
+                "ancillas": [],
+                "cycles": [{"left": "a", "right": "b", "produced": "c"}]}
+
+    generated = {"schema_version": 1, "mode": "exact", "k": k,
+                 "target_n": 4 * k, "n1": 2 * k, "n2": 2 * k}
+    path = tmp_path / "plan.json"
+    for doc, message in ((generated, f"k must be at most {MAX_K}, got {k}"),
+                         (explicit(k), f"plan k must be at most {MAX_K}, got {k}")):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("run", "graph"):
+            assert run_cli(capsys, command, str(path)) == (3, "", message + "\n")
+    path.write_text(json.dumps(explicit(MAX_K)), encoding="utf-8")
+    assert run_cli(capsys, "run", str(path)) == (
+        4, "", "cycle 0: a step was derived\n")
+
+
 def test_a_document_past_the_size_limit_is_not_read(tmp_path, capsys,
                                                     monkeypatch):
     """A document file one byte over 256 MiB exits 2 with one stderr line
@@ -615,6 +695,15 @@ def test_verify_bounds_that_leave_sweeps_empty_exit_2(capsys, bounds):
     code, out, err = run_cli(capsys, "verify", *bounds)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and "no cells" in err
+
+
+def test_verify_max_k_stops_at_the_last_k_with_a_cell(capsys):
+    """No k past half the largest operand has a cell, so a huge --max-k
+    runs no empty loops and prints what --max-k 3 prints."""
+    assert list(distillation_cells(10 ** 18, 8, 14)) == \
+        list(distillation_cells(4, 8, 14))
+    assert run_cli(capsys, "verify", "--max-k", str(10 ** 18)) == \
+        run_cli(capsys, "verify", "--max-k", "3")
 
 
 def test_verify_least_bounds_give_every_sweep_cells(capsys):

@@ -8,7 +8,8 @@ the layers below it (verify also uses dense), and of the core only cli may
 import them, so the engine never depends on its own checker.  The oracle's
 reach is one constant that dense owns; no function takes it as a setting.
 The benchmark's tracer rebinds package functions by name, so those names
-must exist.  In cli, only `main` turns a failure into stderr lines.
+must exist.  In cli, only `main` turns a failure into stderr lines, and
+only the `cmd_*` functions name stdout.
 protocol and dense keep no state between calls: the one step derivation
 lives for one run, and the oracle's weight masks for one expansion.
 Every plan state is the unit Z_k(n) on its id, so protocol reads of blocks
@@ -133,6 +134,16 @@ def test_only_cli_main_writes_stderr():
     assert top_level_users("cli", lambda n: (
         isinstance(n, ast.ExceptHandler) and n.type is not None
         and "InvalidPlanError" in ast.unparse(n.type))) == {"main", "cmd_plan"}
+
+
+def test_only_commands_name_stdout():
+    """The report and graph writers take their stream as an argument; only
+    a `cmd_*` function of cli picks `sys.stdout` for them."""
+    users = {f"{module}.{name}" for module in MODULES
+             for name in top_level_users(module, lambda n: (
+                 isinstance(n, ast.Attribute) and n.attr == "stdout"
+                 or isinstance(n, ast.Name) and n.id == "stdout"))}
+    assert users and all(user.startswith("cli.cmd_") for user in users), users
 
 
 MUTABLE_VALUES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,

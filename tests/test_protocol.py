@@ -139,7 +139,7 @@ def test_execute_exact_plan():
 def test_execute_empty_plan():
     report = execute_plan(gen_incremental_plan(1, 3))
     assert report.cumulative_success == 1
-    assert report.cycles == ()
+    assert tuple(report.cycles) == ()
     assert report.final == StateRef("base1", 1, 3)
 
 
@@ -279,8 +279,8 @@ MEMO_PLANS = {**{f"exponential-k{k}-n{n}": gen_exponential_plan(k, n)
 def test_memoised_run_matches_fresh_derivations(name):
     plan = MEMO_PLANS[name]
     report = execute_plan(plan)
-    assert (report.cycles, report.cumulative_success, unit_state(report.final)) == \
-        fresh_run(plan)
+    assert (tuple(report.cycles), report.cumulative_success,
+            unit_state(report.final)) == fresh_run(plan)
 
 
 def test_memo_tells_operands_apart_by_coefficient(monkeypatch):
@@ -395,8 +395,8 @@ def test_random_plan_forests(plan):
     lies deeper, ends at the final state; and at k <= 2 the oracle checks
     exactly the cycles within the dense cap."""
     report = execute_plan(plan)
-    assert (report.cycles, report.cumulative_success, unit_state(report.final)) == \
-        fresh_run(plan)
+    assert (tuple(report.cycles), report.cumulative_success,
+            unit_state(report.final)) == fresh_run(plan)
     led = report.ledger
     assert led.output_qubits == (led.input_qubits + led.ancilla_qubits
                                  - led.consumed_qubits)
