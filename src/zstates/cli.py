@@ -94,8 +94,8 @@ def _parser() -> _Parser:
     p_run.add_argument("--report", choices=("text", "json"), default="text",
                        help="report format (default: text)")
     p_run.add_argument("--verify-with-oracle", action="store_true",
-                       help="replay each cycle within the dense cap on the "
-                            "dense expansion")
+                       help="replay each distinct cell within the dense "
+                            "cap once on the dense expansion")
 
     p_graph = sub.add_parser("graph", help="emit a DOT graph of a plan")
     p_graph.add_argument("plan_file")
@@ -255,10 +255,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     plan = _load_plan(args.plan_file)
-    # One verdict store per run: each distinct cell is replayed once.
-    oracle = (functools.partial(check_distillation_cell, verdicts={})
-              if args.verify_with_oracle else None)
-    report = execute_plan(plan, oracle)
+    report = execute_plan(plan, check_distillation_cell
+                          if args.verify_with_oracle else None)
     if args.report == "text":
         report_to_text(plan, report, sys.stdout)
         return EXIT_OK

@@ -19,9 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .blocks import RegisterId, z_state
+from .blocks import z_state
 from .combinatorics import binom, int_str
-from .distill import DistillationError, DistillOutcome, distill_step
+from .distill import DistillationError, distill_step
 
 __all__ = [
     "StateRef",
@@ -56,10 +56,10 @@ MAX_K = 256
 # holds one chunk of a plan's output, never all of it.
 CHUNK_CYCLES = 256
 
-# oracle(k, n1, n2, outcome): the problems it finds in the outcome of one step
-# on Z_k(n1), Z_k(n2) (empty when it agrees), or None beyond its reach.  The
-# class is named by a string so that typing's cache holds no package class.
-Oracle = Callable[[int, int, int, "DistillOutcome"], Optional[list[str]]]
+# oracle(k, n1, n2, p): the problems it finds in p as the success probability
+# of one step on Z_k(n1), Z_k(n2) (empty when it agrees), or None beyond its
+# reach.
+Oracle = Callable[[int, int, int, Fraction], Optional[list[str]]]
 
 
 class StateRef(NamedTuple):
@@ -108,15 +108,16 @@ class ResourceLedger(NamedTuple):
 class _CycleResults:
     """A report's cycle results, each built when it is read, from the
     resolved states and the step's beta_sq: a report holds no per-cycle
-    record.  It has a length, can be indexed and iterated any number of
-    times, and equals another report's results when they hold equal
-    records.  `checked` flags the cycles the oracle replayed (None: none).
+    record.  It has a length, can be indexed, sliced (into a tuple) and
+    iterated any number of times, and equals another report's results when
+    they hold equal records.  `checked` holds the cells (n1, n2) the oracle
+    replayed.
     """
 
     __slots__ = ("_cycles", "_refs", "_k", "_num", "_den", "_checked")
 
     def __init__(self, plan: ProtocolPlan, refs: dict[str, StateRef],
-                 beta_sq: Fraction, checked: Optional[bytearray]) -> None:
+                 beta_sq: Fraction, checked: frozenset) -> None:
         self._cycles, self._refs, self._k = plan.cycles, refs, plan.k
         self._num, self._den = beta_sq.numerator, beta_sq.denominator
         self._checked = checked
@@ -124,7 +125,9 @@ class _CycleResults:
     def __len__(self) -> int:
         return len(self._cycles)
 
-    def __getitem__(self, i: int) -> CycleResult:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self._cycles))[i]))
         cyc = self._cycles[i]
         refs, k = self._refs, self._k
         left, right, produced = refs[cyc.left], refs[cyc.right], refs[cyc.produced]
@@ -132,7 +135,7 @@ class _CycleResults:
             left, right, produced,
             Fraction(self._num * binom(produced.n, k),
                      self._den * binom(left.n, k) * binom(right.n, k)),
-            self._checked is not None and self._checked[i] == 1)
+            (left.n, right.n) in self._checked)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self._cycles)))
@@ -365,28 +368,32 @@ def execute_plan(plan: ProtocolPlan,
     `_step_beta_sq`), each cycle is sized by the norms C(n, k) of its three
     states, and the cumulative probability telescopes (see `_telescoped`).
     The report's `cycles` build each cycle's result when it is read.
-    With an `oracle`, each cycle's outcome, its unit post state under the
-    cycle's own produced id, is also checked by it before this returns: a
-    cycle it reports problems for fails, one it returns None for (beyond
-    its reach) stays unchecked.  Errors name the failing cycle index.
+    With an `oracle`, a cycle's outcome is fixed by its cell (n1, n2), so
+    each distinct cell is checked once before this returns, on the
+    probability its first cycle reports: a cell it reports problems for
+    fails that first cycle, one it returns None for (beyond its reach)
+    stays unchecked.  Errors name the failing cycle index.
     """
     resolved = _resolve_valid(plan)
-    k = plan.k
+    refs = resolved.refs
     # A plan without cycles derives nothing: beta_sq**0 is 1 whatever it is.
-    beta_sq = _step_beta_sq(k) if plan.cycles else Fraction(1)
-    checked = None if oracle is None else bytearray(len(plan.cycles))
-    cycles = _CycleResults(plan, resolved.refs, beta_sq, checked)
+    beta_sq = _step_beta_sq(plan.k) if plan.cycles else Fraction(1)
+    checked = set()
     if oracle is not None:
         # Checked before any report is written, so a run whose oracle
-        # disagrees writes nothing; only a flag per cycle is kept.
-        for i, r in enumerate(cycles):
-            post = z_state(k, r.produced.n, RegisterId(r.produced.id, r.produced.n))
-            problems = oracle(k, r.left.n, r.right.n,
-                              DistillOutcome(post, r.probability))
+        # disagrees writes nothing; only the checked cells are kept.
+        first: dict[tuple[int, int], int] = {}  # each cell's first cycle
+        for i, cyc in enumerate(plan.cycles):
+            first.setdefault((refs[cyc.left].n, refs[cyc.right].n), i)
+        unchecked = _CycleResults(plan, refs, beta_sq, frozenset())
+        for cell, i in first.items():
+            problems = oracle(plan.k, *cell, unchecked[i].probability)
             if problems:
                 raise PlanExecutionError(
                     i, "oracle disagreement: " + "; ".join(problems))
-            checked[i] = problems is not None
+            if problems is not None:
+                checked.add(cell)
+    cycles = _CycleResults(plan, refs, beta_sq, frozenset(checked))
     return ExecutionReport(cycles, _telescoped(plan, resolved, beta_sq),
                            _ledger(plan, resolved), resolved.final)
 

@@ -34,7 +34,6 @@ from .dense import (
     to_dense,
 )
 from .distill import (
-    DistillOutcome,
     NotCollectibleError,
     distill_step,
     success_probability,
@@ -124,29 +123,80 @@ def distillation_cells(max_k: int, max_operand_n: int, max_total_n: int):
                     yield k, n1, n2
 
 
-def check_distillation_cell(k: int, n1: int, n2: int, outcome: DistillOutcome,
-                            selections: Optional[Iterable[Selection]] = None,
-                            *, verdicts: Optional[dict] = None
+def check_distillation_cell(k: int, n1: int, n2: int, probability: Fraction,
+                            selections: Optional[Iterable[Selection]] = None
                             ) -> Optional[list[str]]:
-    """Check the outcome of one distillation step on Z_k(n1), Z_k(n2).
+    """Check `probability` as the success probability of one distillation
+    step on Z_k(n1), Z_k(n2).
 
-    Its post state must be a single Z_k(n1+n2-2k) factor; on the dense
-    expansion the projection remainder must be proportional to that state,
-    with an oracle weight equal to the outcome's probability and to the
+    On the dense expansion the projection remainder must be proportional to
+    Z_k(n1+n2-2k), with an oracle weight equal to `probability` and to the
     closed form.  Returns the failures (empty = agree), or None for a cell
-    that passes the symbolic check but lies beyond the dense cap, so it is
-    `execute_plan`'s oracle as is.  Each of `selections` (the k measured
-    qubits of each operand; None: the first k of each) is replayed up to
-    the first that disagrees; ValueError if they name none.
-
-    Z states are invariant under every qubit permutation, so a replay
-    depends only on the cell and the ordered selection, never on the
-    outcome: its (weight, proportional) verdict is kept in `verdicts`, a
-    store that one caller owns and passes to every call (None: a fresh
-    one), and every outcome is compared with it.  The expansions are built
-    once per call, on the first selection missing from the store.
+    beyond the dense cap, so it is `execute_plan`'s oracle as is.  Each
+    distinct one of `selections` (the k measured qubits of each operand;
+    None: the first k of each) is replayed once, in order, up to the first
+    that disagrees; ValueError if they name none.  The expansions are built
+    once per call.
     """
+    if n1 + n2 > DENSE_CAP:
+        return None
     where = f"(k={k}, N1={n1}, N2={n2})"
+    n_out = n1 + n2 - 2 * k
+    closed_form = success_probability(k, n1, n2)
+    joint = to_dense(tensor(z_state(k, n1, RegisterId("A", n1)),
+                            z_state(k, n2, RegisterId("B", n2))))
+    target = to_dense(x0_state(k, RegisterId("XA", k), RegisterId("XB", k)))
+    z_out = dense_z(k, n_out)
+    replayed = set()
+    for sel_a, sel_b in ([(range(k), range(k))] if selections is None
+                         else selections):
+        if any(not 0 <= i < n for sel, n in ((sel_a, n1), (sel_b, n2)) for i in sel):
+            raise ValueError("selection index out of range for its operand")
+        qubits = (*sel_a, *(n1 + i for i in sel_b))
+        if qubits in replayed:
+            continue
+        replayed.add(qubits)
+        remainder, weight = dense_project(joint, qubits, target)
+        ratio = proportionality(remainder, z_out)
+        problems = []
+        if ratio is None or ratio <= 0:
+            problems.append(
+                f"{where}: dense remainder is not proportional to Z_{k}({n_out})")
+        if weight != probability:
+            problems.append(f"{where}: oracle weight {weight} != symbolic "
+                            f"probability {probability}")
+        if weight != closed_form:
+            problems.append(f"{where}: oracle weight {weight} != closed form "
+                            f"{closed_form}")
+        if problems:
+            return ([f"selection={sel_a, sel_b}: " + "; ".join(problems)]
+                    if selections is not None else problems)
+    if not replayed:
+        raise ValueError("selections named no selection to replay")
+    return []
+
+
+def _derive_and_check(k: int, n1: int, n2: int, alpha, selections,
+                      outcomes: Optional[dict]) -> list[str]:
+    """Derive one step on fresh operands and check its outcome: its post
+    state must be a single Z_k(n1+n2-2k) factor, and its probability must
+    pass `check_distillation_cell`.
+
+    With the default weights (`alpha` None) the outcome is taken from
+    `outcomes` under (k, n1, n2), or derived and kept there, so sweeps
+    sharing the dict derive each cell once; a step with other weights is
+    always derived and never kept."""
+    where = f"(k={k}, N1={n1}, N2={n2})"
+    outcomes = {} if outcomes is None else outcomes
+    outcome = None if alpha is not None else outcomes.get((k, n1, n2))
+    if outcome is None:
+        try:
+            outcome = distill_step(z_state(k, n1, RegisterId("A", n1)),
+                                   z_state(k, n2, RegisterId("B", n2)), alpha)
+        except NotCollectibleError:
+            return [f"{where}: post state does not collect to a single Z factor"]
+        if alpha is None:
+            outcomes[k, n1, n2] = outcome
     n_out = n1 + n2 - 2 * k
     failures = []
     terms = outcome.post_state.terms
@@ -154,87 +204,23 @@ def check_distillation_cell(k: int, n1: int, n2: int, outcome: DistillOutcome,
     if not (len(blocks) == 1 and terms[0][0] > 0
             and (blocks[0].excitations, blocks[0].register.width) == (k, n_out)):
         failures.append(f"{where}: symbolic post state is not a single Z_{k}({n_out})")
-    if n1 + n2 > DENSE_CAP:
-        return failures or None
-    verdicts = {} if verdicts is None else verdicts
-    closed_form = success_probability(k, n1, n2)
-    expansions = None
-    replayed = False
-    for sel_a, sel_b in ([(range(k), range(k))] if selections is None
-                         else selections):
-        replayed = True
-        if any(not 0 <= i < n for sel, n in ((sel_a, n1), (sel_b, n2)) for i in sel):
-            raise ValueError("selection index out of range for its operand")
-        qubits = (*sel_a, *(n1 + i for i in sel_b))
-        verdict = verdicts.get((k, n1, n2, qubits))
-        if verdict is None:
-            if expansions is None:
-                expansions = (
-                    to_dense(tensor(z_state(k, n1, RegisterId("A", n1)),
-                                    z_state(k, n2, RegisterId("B", n2)))),
-                    to_dense(x0_state(k, RegisterId("XA", k), RegisterId("XB", k))),
-                    dense_z(k, n_out))
-            joint, target, z_out = expansions
-            remainder, weight = dense_project(joint, qubits, target)
-            ratio = proportionality(remainder, z_out)
-            verdict = verdicts[k, n1, n2, qubits] = (
-                weight, ratio is not None and ratio > 0)
-        weight, proportional = verdict
-        problems = []
-        if not proportional:
-            problems.append(
-                f"{where}: dense remainder is not proportional to Z_{k}({n_out})")
-        if weight != outcome.success_probability:
-            problems.append(f"{where}: oracle weight {weight} != symbolic "
-                            f"probability {outcome.success_probability}")
-        if weight != closed_form:
-            problems.append(f"{where}: oracle weight {weight} != closed form "
-                            f"{closed_form}")
-        if problems:
-            failures += ([f"selection={sel_a, sel_b}: " + "; ".join(problems)]
-                         if selections is not None else problems)
-            break
-    if not replayed:
-        raise ValueError("selections named no selection to replay")
-    return failures
-
-
-def _derive_and_check(k: int, n1: int, n2: int, alpha, selections,
-                      verdicts: Optional[dict]) -> list[str]:
-    """Check the outcome of one step on fresh operands.
-
-    With the default weights (`alpha` None) the outcome is taken from
-    `verdicts` under (k, n1, n2), or derived and kept there, so sweeps
-    sharing a store derive each cell once; a step with other weights is
-    always derived and never kept."""
-    verdicts = {} if verdicts is None else verdicts
-    outcome = None if alpha is not None else verdicts.get((k, n1, n2))
-    if outcome is None:
-        try:
-            outcome = distill_step(z_state(k, n1, RegisterId("A", n1)),
-                                   z_state(k, n2, RegisterId("B", n2)), alpha)
-        except NotCollectibleError:
-            return [f"(k={k}, N1={n1}, N2={n2}): post state does not collect "
-                    f"to a single Z factor"]
-        if alpha is None:
-            verdicts[k, n1, n2] = outcome
-    return check_distillation_cell(k, n1, n2, outcome, selections,
-                                   verdicts=verdicts) or []
+    # Every swept cell lies within the dense cap, so the check returns a list.
+    return failures + check_distillation_cell(
+        k, n1, n2, outcome.success_probability, selections)
 
 
 def sweep_distillation(max_k: int, max_operand_n: int, max_total_n: int,
-                       corrupt_alpha: bool, *, verdicts: Optional[dict] = None
+                       corrupt_alpha: bool, *, outcomes: Optional[dict] = None
                        ) -> SweepResult:
     """With corrupt_alpha each step is derived with unit projection weights,
     the negative control: from k = 2 on its post state does not collect.
-    `verdicts` is the oracle's store (see `check_distillation_cell`), which
-    also keeps each cell's outcome under the default weights (see
+    `outcomes` keeps each cell's outcome under the default weights (see
     `_derive_and_check`)."""
     res = SweepResult("distillation")
     for k, n1, n2 in distillation_cells(max_k, max_operand_n, max_total_n):
         res.cells += 1
         alpha = (Fraction(1),) * (k + 1) if corrupt_alpha else None
-        res.failures.extend(_derive_and_check(k, n1, n2, alpha, None, verdicts))
+        res.failures.extend(_derive_and_check(k, n1, n2, alpha, None, outcomes))
     return res
 
 
@@ -275,10 +261,9 @@ def sweep_permutations(max_n: int, seed: int) -> SweepResult:
 
 
 def sweep_selections(max_k: int, max_operand_n: int, max_total_n: int,
-                     seed: int, *, verdicts: Optional[dict] = None) -> SweepResult:
+                     seed: int, *, outcomes: Optional[dict] = None) -> SweepResult:
     """Distillation outcome is the same for any choice of measured qubits.
-    `verdicts` is the oracle's store (see `check_distillation_cell`), from
-    which a cell's outcome is reused (see `_derive_and_check`)."""
+    A cell's outcome is reused from `outcomes` (see `_derive_and_check`)."""
     res = SweepResult("selection")
     rng = random.Random(seed)
     for k, n1, n2 in distillation_cells(max_k, max_operand_n, max_total_n):
@@ -287,7 +272,7 @@ def sweep_selections(max_k: int, max_operand_n: int, max_total_n: int,
                        tuple(rng.sample(range(n2), k)))
                       for _ in range(SELECTION_SAMPLES))
         res.failures.extend(
-            _derive_and_check(k, n1, n2, None, selections, verdicts))
+            _derive_and_check(k, n1, n2, None, selections, outcomes))
     return res
 
 
@@ -301,20 +286,20 @@ def run_verification(max_n: int, max_k: int, seed: int,
     With corrupt_alpha the distillation sweep derives each step with unit
     projection weights instead of the proper choice and is expected to fail;
     it is the debug switch demonstrating that the weight choice matters.
-    The distillation and selection sweeps share one oracle verdict store,
-    so without corrupt_alpha each of their cells is derived once.
+    The distillation and selection sweeps share one dict of outcomes, so
+    without corrupt_alpha each of their cells is derived once.
     """
     operand_cap = max(max_n - 4, 2)
     total_cap = max_n + 2
-    verdicts: dict = {}
+    outcomes: dict = {}
     return [
         sweep_vandermonde(max(max_n, 20)),
         sweep_norms(max_n + 4, max_n + 2),
         sweep_composition(max_n),
         sweep_distillation(max_k, operand_cap, total_cap, corrupt_alpha,
-                           verdicts=verdicts),
+                           outcomes=outcomes),
         sweep_bit_flip(max_n),
         sweep_permutations(max(max_n - 2, 1), seed),
         sweep_selections(max_k, operand_cap, total_cap, seed,
-                         verdicts=verdicts),
+                         outcomes=outcomes),
     ]

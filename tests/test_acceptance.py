@@ -81,7 +81,8 @@ def test_03_distillation_sweep():
     cells = 0
     for k, n1, n2 in distillation_cells(3, 8, 14):
         cells += 1
-        failures.extend(check_distillation_cell(k, n1, n2, fresh_outcome(k, n1, n2)))
+        failures.extend(check_distillation_cell(
+            k, n1, n2, fresh_outcome(k, n1, n2).success_probability))
     assert cells == 74
     _finish("distillation sweep, k <= 3, operands <= 8, totals <= 14", failures)
 
@@ -95,13 +96,13 @@ def test_04_one_excitation_example_numbers():
         failures.append("3+3 post state is not Z_1(4)")
     if out.success_probability != Fraction(2, 9):
         failures.append(f"3+3 probability {out.success_probability} != 2/9")
-    failures.extend(check_distillation_cell(1, 3, 3, out))
+    failures.extend(check_distillation_cell(1, 3, 3, out.success_probability))
 
     out = distill_step(z_state(2, 5, RegisterId("A", 5)),
                        z_state(2, 5, RegisterId("B", 5)))
     if out.success_probability != Fraction(1, 15):
         failures.append(f"5+5 probability {out.success_probability} != 1/15")
-    failures.extend(check_distillation_cell(2, 5, 5, out))
+    failures.extend(check_distillation_cell(2, 5, 5, out.success_probability))
     _finish("example probabilities 2/9 and 1/15", failures)
 
 

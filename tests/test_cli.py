@@ -263,9 +263,9 @@ def test_oracle_replays_only_cycles_within_the_dense_cap(tmp_path, capsys):
 
 def test_no_verdict_outlives_its_run(tmp_path, capsys, monkeypatch):
     """A run replays each distinct cell once: three projections for the 14
-    cycles in reach of exponential k=3 to 31 qubits.  The next run keeps
-    none of its verdicts, so a projection that now returns a wrong weight
-    fails it at cycle 0."""
+    cycles in reach of exponential k=3 to 31 qubits.  Nothing is kept
+    between runs, so a projection that now returns a wrong weight fails
+    the next run at cycle 0."""
     path = write_plan(tmp_path, capsys, "--mode", "exponential", "--k", "3",
                       "--n-target", "31")
     widths = []

@@ -13,6 +13,7 @@ from zstates import (
     NotCollectibleError,
     RegisterId,
     dense_inner,
+    dense_project,
     distill_step,
     norm_sq,
     success_probability,
@@ -96,7 +97,8 @@ def test_x0_rejects_degenerate_inputs():
 def test_success_probability_frozen_values(k, n1, n2, expected):
     """Values frozen from the dense oracle; the cell check recomputes them."""
     assert success_probability(k, n1, n2) == expected
-    assert check_distillation_cell(k, n1, n2, fresh_outcome(k, n1, n2)) == []
+    assert check_distillation_cell(
+        k, n1, n2, fresh_outcome(k, n1, n2).success_probability) == []
 
 
 def test_success_probability_domain():
@@ -171,8 +173,8 @@ def test_unit_weights_coincide_with_default_at_k1():
 
 def test_small_sweep_against_oracle():
     for k, n1, n2 in distillation_cells(2, 6, 12):
-        outcome = fresh_outcome(k, n1, n2)
-        assert check_distillation_cell(k, n1, n2, outcome) == [], (k, n1, n2)
+        p = fresh_outcome(k, n1, n2).success_probability
+        assert check_distillation_cell(k, n1, n2, p) == [], (k, n1, n2)
 
 
 def test_distillation_cells_stay_in_the_oracle_reach():
@@ -183,19 +185,19 @@ def test_distillation_cells_stay_in_the_oracle_reach():
     assert all(n1 + n2 <= DENSE_CAP for _, n1, n2 in cells)
 
 
-def test_cell_check_reads_the_outcome_it_is_given():
-    good = fresh_outcome(1, 3, 3)
-    tampered = DistillOutcome(good.post_state, Fraction(1, 3))
-    assert check_distillation_cell(1, 3, 3, tampered) == [
+def test_cell_check_reads_the_outcome_it_is_given(monkeypatch):
+    assert check_distillation_cell(1, 3, 3, Fraction(1, 3)) == [
         "(k=1, N1=3, N2=3): oracle weight 2/9 != symbolic probability 1/3"]
-    too_wide = DistillOutcome(z_state(1, 5, "A+B"), good.success_probability)
-    assert check_distillation_cell(1, 3, 3, too_wide) == [
+    # A post state that is not a single Z is the sweeps' finding, made where
+    # they derive it.
+    too_wide = DistillOutcome(z_state(1, 5, "A+B"), Fraction(2, 9))
+    res = sweep_distillation(1, 3, 6, False, outcomes={(1, 3, 3): too_wide})
+    assert res.failures == [
         "(k=1, N1=3, N2=3): symbolic post state is not a single Z_1(4)"]
-    # Past the dense cap the post state is still checked.
-    past = fresh_outcome(1, 12, 11)
-    assert check_distillation_cell(1, 12, 11, past) is None
-    assert check_distillation_cell(
-        1, 12, 11, DistillOutcome(z_state(1, 22, "o"), past.success_probability))
+    # Past the dense cap nothing is built, whatever the probability.
+    for name in ("success_probability", "z_state", "to_dense", "dense_z"):
+        monkeypatch.setattr(zstates.verify, name, None)
+    assert check_distillation_cell(1, 12, 11, Fraction(7)) is None
 
 
 def test_selection_invariance_spot_checks():
@@ -203,15 +205,15 @@ def test_selection_invariance_spot_checks():
     for k, n1, n2 in [(1, 3, 5), (2, 4, 6), (3, 6, 7)]:
         selections = [(tuple(rng.sample(range(n1), k)),
                        tuple(rng.sample(range(n2), k))) for _ in range(5)]
-        outcome = fresh_outcome(k, n1, n2)
-        assert check_distillation_cell(k, n1, n2, outcome, selections) == []
+        p = fresh_outcome(k, n1, n2).success_probability
+        assert check_distillation_cell(k, n1, n2, p, selections) == []
 
 
 def test_selection_indexes_its_own_operand():
     """Qubit 3 of the first operand is out of range, not the second's qubit 0;
     it is found after an agreeing selection, so every selection is read."""
     with pytest.raises(ValueError):
-        check_distillation_cell(1, 3, 3, fresh_outcome(1, 3, 3),
+        check_distillation_cell(1, 3, 3, Fraction(2, 9),
                                 [((0,), (0,)), ((3,), (0,))])
 
 
@@ -220,25 +222,30 @@ def test_selections_that_name_none_are_refused(selections):
     """An empty list is not the default selection, and an empty iterator
     does not pass a check that replayed nothing."""
     with pytest.raises(ValueError, match="no selection"):
-        check_distillation_cell(1, 3, 3, fresh_outcome(1, 3, 3), selections)
+        check_distillation_cell(1, 3, 3, Fraction(2, 9), selections)
 
 
-def test_a_shared_store_changes_no_result():
-    """Checks that share one verdict store return what checks with a fresh
-    store each return, on agreeing and on tampered outcomes alike."""
-    shared = {}
-    for k, n1, n2 in distillation_cells(3, 8, 14):
-        good = fresh_outcome(k, n1, n2)
-        tampered = DistillOutcome(good.post_state, good.success_probability / 2)
-        selections = [(range(k), range(k)), (range(n1 - k, n1), range(k))]
-        for outcome in (good, tampered):
-            for sel in (None, selections):
-                assert check_distillation_cell(
-                    k, n1, n2, outcome, sel, verdicts=shared
-                ) == check_distillation_cell(k, n1, n2, outcome, sel)
-    # Two keys per cell: the first k qubits of each operand, and the last
-    # k of the first with the first k of the second.
-    assert len(shared) == 2 * len(list(distillation_cells(3, 8, 14)))
+def test_duplicate_selections_are_projected_once(monkeypatch):
+    """A selection named twice in one call is projected once, and the first
+    failing selection reported is the one a call without repeats reports.
+    The projection here is off by one for selection b alone."""
+    projected = []
+
+    def wrong_at_b(state, qubits, target):
+        projected.append(qubits)
+        remainder, weight = dense_project(state, qubits, target)
+        return remainder, weight + (qubits == (2, 3))
+
+    monkeypatch.setattr(zstates.verify, "dense_project", wrong_at_b)
+    a, b, c = ((0,), (1,)), ((2,), (0,)), ((1,), (2,))
+    assert check_distillation_cell(1, 3, 3, Fraction(2, 9), [a, c, a, c, a]) == []
+    assert projected == [(0, 4), (1, 5)]
+    del projected[:]
+    failures = check_distillation_cell(1, 3, 3, Fraction(2, 9), [a, a, c, a, b, c])
+    assert projected == [(0, 4), (1, 5), (2, 3)]
+    assert failures == check_distillation_cell(1, 3, 3, Fraction(2, 9), [a, c, b])
+    assert len(failures) == 1
+    assert failures[0].startswith("selection=((2,), (0,)): ")
 
 
 def test_closed_form_is_computed_once_per_cell(monkeypatch):
@@ -257,9 +264,9 @@ def test_closed_form_is_computed_once_per_cell(monkeypatch):
 @pytest.mark.parametrize("corrupt_alpha", [False, True])
 def test_verify_derives_each_cell_once(monkeypatch, corrupt_alpha):
     """At the command line defaults the selection sweep takes each cell's
-    outcome from the store the distillation sweep filled.  A corrupted
+    outcome from the dict the distillation sweep filled.  A corrupted
     outcome is never kept, so that run derives each cell in both sweeps.
-    Either way the two sweeps report what they report on fresh stores."""
+    Either way the two sweeps report what they report on fresh dicts."""
     calls = []
 
     def counted(*args):
@@ -279,7 +286,7 @@ def test_selection_sweep_checks_the_stored_outcome():
     good = fresh_outcome(1, 3, 3)
     store = {(1, 3, 3): DistillOutcome(good.post_state,
                                        good.success_probability / 2)}
-    res = sweep_selections(1, 4, 8, seed=0, verdicts=store)
+    res = sweep_selections(1, 4, 8, seed=0, outcomes=store)
     assert res.cells == 9
     assert [f.split(": ", 1)[1] for f in res.failures] == [
         "(k=1, N1=3, N2=3): oracle weight 2/9 != symbolic probability 1/9"]

@@ -12,8 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from zstates import critical_path, document_to_plan, execute_plan, validate_plan
+from zstates import (
+    critical_path,
+    document_to_plan,
+    execute_plan,
+    success_probability,
+    validate_plan,
+)
 from zstates.plandoc import parse_document
+from zstates.verify import check_distillation_cell
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN_DIR.iterdir() if p.is_dir())
@@ -65,3 +72,14 @@ def test_golden_case_notes_name_their_origin(name):
     _, expected = load_case(name)
     assert expected["note"]
     assert expected["provenance"]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_golden_checked_cycles_report_the_closed_form(name):
+    """Every golden cycle lies within the oracle's reach, and each reports
+    the closed form of its cell, on repeats of a checked cell too."""
+    plan = document_to_plan(load_case(name)[0])
+    report = execute_plan(plan, check_distillation_cell)
+    assert all(c.oracle_checked and c.probability
+               == success_probability(plan.k, c.left.n, c.right.n)
+               for c in report.cycles)

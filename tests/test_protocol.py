@@ -1,6 +1,5 @@
 """Plan validation, execution, and the three schedule generators."""
 
-import functools
 from fractions import Fraction
 
 import pytest
@@ -29,7 +28,7 @@ from zstates import (
     validate_plan,
     z_state,
 )
-from zstates.blocks import RegisterId, block_sum
+from zstates.blocks import block_sum
 from zstates.dense import DENSE_CAP, dense_project
 from zstates.distill import DistillOutcome
 from zstates.verify import check_distillation_cell
@@ -146,14 +145,12 @@ def test_execute_empty_plan():
 def test_execute_oracle_verdicts():
     plan = gen_exact_plan(1, 3, 3)
     seen = []
-    report = execute_plan(plan, lambda k, n1, n2, outcome: seen.append(outcome))
+    report = execute_plan(plan, lambda k, n1, n2, p: seen.append(p))
     assert not any(c.oracle_checked for c in report.cycles)
-    # The oracle is handed each cycle's own outcome.
-    assert [o.success_probability for o in seen] == [
-        c.probability for c in report.cycles]
-    assert seen[-1].post_state == unit_state(report.final)
+    # The oracle is handed each cell's reported probability.
+    assert seen == [c.probability for c in report.cycles]
     with pytest.raises(PlanExecutionError, match="cycle 1: oracle disagreement: off"):
-        execute_plan(plan, lambda k, n1, n2, outcome: ["off"] if n1 == 5 else [])
+        execute_plan(plan, lambda k, n1, n2, p: ["off"] if n1 == 5 else [])
 
 
 def test_oracle_run_derives_each_cycle_once(monkeypatch):
@@ -176,25 +173,12 @@ def test_oracle_run_derives_each_cycle_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_oracle_sees_every_cycle_under_its_own_id():
-    plan = gen_exponential_plan(1, 20)  # repeats shapes, so most cycles hit
-    seen = []
-
-    def oracle(k, n1, n2, outcome):
-        seen.append((n1, n2, registers_of(outcome.post_state)))
-        return []
-
-    report = execute_plan(plan, oracle)
-    assert all(c.oracle_checked for c in report.cycles)
-    assert seen == [(c.left.n, c.right.n, (RegisterId(c.produced.id, c.produced.n),))
-                    for c in report.cycles]
-
-
-def test_one_store_replays_each_distinct_cell_once(monkeypatch):
+def test_oracle_sees_each_distinct_cell_once(monkeypatch):
     """Exponential k=3 to 31 qubits has 14 cycles within the dense cap on
-    three distinct cells, (7, 7) x8, (8, 8) x4 and (10, 10) x2: with one
-    verdict store the oracle is still called on all 24 cycles, marks every
-    cycle in reach as checked, and projects the dense state 3 times."""
+    three distinct cells, (7, 7) x8, (8, 8) x4 and (10, 10) x2: the oracle
+    is called once per distinct cell, in the order of their first cycles,
+    marks every cycle in reach as checked, and projects the dense state 3
+    times."""
     projections, calls = [], []
 
     def counted_project(state, qubits, target):
@@ -202,45 +186,50 @@ def test_one_store_replays_each_distinct_cell_once(monkeypatch):
         return dense_project(state, qubits, target)
 
     monkeypatch.setattr(zstates.verify, "dense_project", counted_project)
-    check = functools.partial(check_distillation_cell, verdicts={})
 
-    def oracle(k, n1, n2, outcome):
+    def oracle(k, n1, n2, p):
         calls.append((n1, n2))
-        return check(k, n1, n2, outcome)
+        return check_distillation_cell(k, n1, n2, p)
 
     plan = gen_exponential_plan(3, 31)
     report = execute_plan(plan, oracle)
-    assert calls == [(c.left.n, c.right.n) for c in report.cycles]
-    assert len(calls) == 24
-    in_reach = [n1 + n2 <= DENSE_CAP for n1, n2 in calls]
+    cells = [(c.left.n, c.right.n) for c in report.cycles]
+    assert calls == list(dict.fromkeys(cells))
+    in_reach = [n1 + n2 <= DENSE_CAP for n1, n2 in cells]
     assert [c.oracle_checked for c in report.cycles] == in_reach
     assert sum(in_reach) == 14
-    assert sorted(projections) == [14, 16, 20]
+    assert projections == [14, 16, 20]
 
 
-def test_a_tampered_repeat_of_a_replayed_cell_is_flagged():
-    """The eighth (7, 7) cycle reuses the verdict of the first; its doubled
-    probability still fails the run at that cycle."""
+def test_a_failing_repeated_cell_stops_at_its_first_cycle():
+    """An oracle that fails the repeated (7, 7) cell stops the run at that
+    cell's first cycle, after earlier cycles on other cells passed."""
     plan = gen_exponential_plan(3, 31)
     cells = [(c.left.n, c.right.n) for c in execute_plan(plan).cycles]
-    eighth = [i for i, cell in enumerate(cells) if cell == (7, 7)][7]
-    check = functools.partial(check_distillation_cell, verdicts={})
-    seen = []
+    first = cells.index((7, 7))
+    assert cells.count((7, 7)) == 8
 
-    def tampering(k, n1, n2, outcome):
-        seen.append((n1, n2))
-        if seen.count((7, 7)) == 8 and (n1, n2) == (7, 7):
-            outcome = DistillOutcome(outcome.post_state,
-                                     2 * outcome.success_probability)
-        return check(k, n1, n2, outcome)
+    def failing(k, n1, n2, p):
+        return ["no"] if (n1, n2) == (7, 7) else []
 
-    p = success_probability(3, 7, 7)
     with pytest.raises(PlanExecutionError) as info:
-        execute_plan(plan, tampering)
-    assert info.value.cycle_index == eighth == len(seen) - 1
-    assert str(info.value) == (
-        f"cycle {eighth}: oracle disagreement: (k=3, N1=7, N2=7): oracle "
-        f"weight {p} != symbolic probability {2 * p}")
+        execute_plan(plan, failing)
+    assert info.value.cycle_index == first
+    assert str(info.value) == f"cycle {first}: oracle disagreement: no"
+
+
+@pytest.mark.parametrize("plan", [
+    *(gen(k, n) for gen in (gen_incremental_plan, gen_exponential_plan)
+      for k in (1, 2, 3) for n in (2 * k + 9, 24)),
+    *(gen_exact_plan(k, 2 * k, 2 * k + 3) for k in (1, 2, 3))])
+def test_checked_cycles_report_the_closed_form(plan):
+    """Every cycle the oracle marks checked reports the closed form of its
+    cell, on every cycle of a repeated cell, not only its first."""
+    report = execute_plan(plan, check_distillation_cell)
+    checked = [c for c in report.cycles if c.oracle_checked]
+    assert checked
+    assert all(c.probability == success_probability(plan.k, c.left.n, c.right.n)
+               for c in checked)
 
 
 def fresh_run(plan, step=distill_step):

@@ -15,7 +15,9 @@ from zstates.protocol import (
     _resolve,
     execute_plan,
     gen_exact_plan,
+    gen_incremental_plan,
 )
+from zstates.verify import check_distillation_cell
 
 
 def _document():
@@ -67,3 +69,17 @@ def test_ledger_items_follow_the_report_order():
     assert _ledger_items(ledger) == [
         ("input_qubits", 6), ("ancilla_qubits", 4), ("consumed_qubits", 4),
         ("cycles", 2), ("output_qubits", 6), ("depth", 2)]
+
+
+@pytest.mark.parametrize("target", [3, 4, 9])
+def test_report_cycles_slice_into_tuples(target):
+    """A slice of a report's cycles is the tuple of results it names, on a
+    plan of no, one and several cycles, with and without the oracle."""
+    plan = gen_incremental_plan(1, target)
+    for oracle in (None, check_distillation_cell):
+        cycles = execute_plan(plan, oracle).cycles
+        whole = tuple(cycles)
+        for s in (slice(0, 1), slice(None), slice(None, None, -1),
+                  slice(-2, None), slice(5, 1, -2), slice(1, 1), slice(3, 100)):
+            assert cycles[s] == whole[s]
+            assert type(cycles[s]) is tuple
