@@ -173,12 +173,35 @@ def test_oracle_run_derives_each_cycle_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_oracle_sees_each_distinct_cell_once(monkeypatch):
+def test_oracle_sees_every_cycle_under_its_own_id():
+    """A plan that repeats cells has every cycle checked, each reported
+    under the id it produces and with its own cell's probability, while
+    the oracle is handed each distinct cell once, at its first cycle."""
+    plan = gen_exponential_plan(1, 20)  # repeats shapes, so most cycles hit
+    seen = []
+
+    def oracle(k, n1, n2, p):
+        seen.append((n1, n2, p))
+        return []
+
+    report = execute_plan(plan, oracle)
+    assert len(seen) < len(plan.cycles)
+    assert all(c.oracle_checked for c in report.cycles)
+    assert [c.produced.id for c in report.cycles] == [
+        c.produced for c in plan.cycles]
+    first = {}
+    for c in report.cycles:
+        assert c.probability == success_probability(1, c.left.n, c.right.n)
+        first.setdefault((c.left.n, c.right.n), c.probability)
+    assert seen == [(n1, n2, p) for (n1, n2), p in first.items()]
+
+
+def test_one_store_replays_each_distinct_cell_once(monkeypatch):
     """Exponential k=3 to 31 qubits has 14 cycles within the dense cap on
-    three distinct cells, (7, 7) x8, (8, 8) x4 and (10, 10) x2: the oracle
-    is called once per distinct cell, in the order of their first cycles,
-    marks every cycle in reach as checked, and projects the dense state 3
-    times."""
+    three distinct cells, (7, 7) x8, (8, 8) x4 and (10, 10) x2: one run
+    keeps one set of checked cells, so the oracle is called once per
+    distinct cell, in the order of their first cycles, marks every cycle
+    in reach as checked, and projects the dense state 3 times."""
     projections, calls = [], []
 
     def counted_project(state, qubits, target):
