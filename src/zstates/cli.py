@@ -25,12 +25,12 @@ from .plandoc import (
     DocumentError,
     PlanDocument,
     approx_decimal,
+    approx_ratio,
     document_to_plan,
     parse_document,
     render_document,
 )
 from .protocol import (
-    CycleResult,
     ExecutionReport,
     InvalidPlanError,
     PlanExecutionError,
@@ -112,9 +112,12 @@ def _parser() -> _Parser:
 
 def _frac_str(value: Fraction) -> str:
     """`str(value)`, spelled with :func:`int_str`."""
-    if value.denominator == 1:
-        return int_str(value.numerator)
-    return f"{int_str(value.numerator)}/{int_str(value.denominator)}"
+    return _ratio_str(value.numerator, value.denominator)
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """`_frac_str` of the reduced num/den."""
+    return int_str(num) if den == 1 else f"{int_str(num)}/{int_str(den)}"
 
 
 def _state_str(ref: StateRef) -> str:
@@ -134,11 +137,11 @@ _JSON_CYCLE = ('    {\n      "index": %d,\n      "left": %s,\n      "right": %s,
                '      "oracle_checked": %s\n    }')
 
 
-def _json_cycle(i: int, r: CycleResult) -> str:
-    return _JSON_CYCLE % (i, _quote(r.left.id), _quote(r.right.id),
-                          _quote(r.produced.id), r.produced.k, r.produced.n,
-                          r.probability.numerator, r.probability.denominator,
-                          "true" if r.oracle_checked else "false")
+def _json_cycle(i: int, row: tuple) -> str:
+    left, right, produced, num, den, checked = row
+    return _JSON_CYCLE % (i, _quote(left.id), _quote(right.id),
+                          _quote(produced.id), produced.k, produced.n,
+                          num, den, "true" if checked else "false")
 
 
 def report_to_json(plan: ProtocolPlan, report: ExecutionReport,
@@ -159,17 +162,18 @@ def report_to_json(plan: ProtocolPlan, report: ExecutionReport,
               f'    "n": {final.n}\n  }},\n  "cycles": ']
     for part in chunk_ranges(len(cycles)):
         chunks += [",\n" if part.start else "[\n",
-                   ",\n".join([_json_cycle(i, cycles[i]) for i in part])]
+                   ",\n".join(map(_json_cycle, part, cycles.rows(part)))]
     chunks.append(("\n  ],\n" if len(cycles) else "[],\n") + tail)
     out.writelines(chunks)
 
 
-def _text_cycle(i: int, r: CycleResult) -> str:
-    return (f"cycle {i + 1}: {_state_str(r.left)}[{r.left.id}] + "
-            f"{_state_str(r.right)}[{r.right.id}] -> "
-            f"{_state_str(r.produced)}[{r.produced.id}]  "
-            f"p = {_frac_str(r.probability)} (~ {approx_decimal(r.probability)})"
-            f"{'  [oracle ok]' if r.oracle_checked else ''}\n")
+def _text_cycle(i: int, row: tuple) -> str:
+    left, right, produced, num, den, checked = row
+    return (f"cycle {i + 1}: {_state_str(left)}[{left.id}] + "
+            f"{_state_str(right)}[{right.id}] -> "
+            f"{_state_str(produced)}[{produced.id}]  "
+            f"p = {_ratio_str(num, den)} (~ {approx_ratio(num, den)})"
+            f"{'  [oracle ok]' if checked else ''}\n")
 
 
 def report_to_text(plan: ProtocolPlan, report: ExecutionReport,
@@ -180,7 +184,7 @@ def report_to_text(plan: ProtocolPlan, report: ExecutionReport,
     out.write(f"plan: k={plan.k} cycles={len(plan.cycles)} "
               f"target=Z_{plan.k}({plan.target_n})\n")
     for part in chunk_ranges(len(cycles)):
-        out.write("".join([_text_cycle(i, cycles[i]) for i in part]))
+        out.write("".join(map(_text_cycle, part, cycles.rows(part))))
     out.write("cumulative success probability: "
               f"{_frac_str(report.cumulative_success)} "
               f"(~ {approx_decimal(report.cumulative_success)})\n"
@@ -192,9 +196,11 @@ def report_to_text(plan: ProtocolPlan, report: ExecutionReport,
 def _max_digits(report: ExecutionReport) -> int:
     """Most decimal digits of any int in the JSON report: in its fractions or
     its ledger, whose sums bound every state size, index and k in it."""
+    cumulative, cycles = report.cumulative_success, report.cycles
     ints = [value for _, value in _ledger_items(report.ledger)]
-    for value in (report.cumulative_success, *[r.probability for r in report.cycles]):
-        ints += (value.numerator, value.denominator)
+    ints += (cumulative.numerator, cumulative.denominator)
+    for row in cycles.rows(range(len(cycles))):
+        ints += row[3:5]
     return len(int_str(max(map(abs, ints))))
 
 

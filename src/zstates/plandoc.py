@@ -35,6 +35,7 @@ __all__ = [
     "render_document",
     "document_to_plan",
     "approx_decimal",
+    "approx_ratio",
 ]
 
 SCHEMA_VERSION = 1
@@ -208,5 +209,9 @@ _APPROX = Context(prec=6, rounding=ROUND_HALF_EVEN)
 
 def approx_decimal(value: Fraction) -> str:
     """Display-only decimal approximation: 6 significant digits, half-even."""
-    return str(_APPROX.divide(Decimal(value.numerator),
-                              Decimal(value.denominator)))
+    return approx_ratio(value.numerator, value.denominator)
+
+
+def approx_ratio(num: int, den: int) -> str:
+    """`approx_decimal` of num/den, for a probability held as two ints."""
+    return str(_APPROX.divide(Decimal(num), Decimal(den)))

@@ -17,7 +17,8 @@ results are built when they are read, so a report holds no per-cycle record.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from math import gcd
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .blocks import z_state
 from .combinatorics import binom, int_str
@@ -106,12 +107,13 @@ class ResourceLedger(NamedTuple):
 
 
 class _CycleResults:
-    """A report's cycle results, each built when it is read, from the
+    """A report's cycle results, each computed when it is read, from the
     resolved states and the step's beta_sq: a report holds no per-cycle
-    record.  It has a length, can be indexed, sliced (into a tuple) and
-    iterated any number of times, and equals another report's results when
-    they hold equal records.  `checked` holds the cells (n1, n2) the oracle
-    replayed.
+    record.  The writers read plain rows (`rows`); indexing builds a
+    `CycleResult` from the same row.  It has a length, can be indexed,
+    sliced (into a tuple) and iterated any number of times, and equals
+    another report's results when they hold equal records.  `checked` holds
+    the cells (n1, n2) the oracle replayed.
     """
 
     __slots__ = ("_cycles", "_refs", "_k", "_num", "_den", "_checked")
@@ -125,17 +127,27 @@ class _CycleResults:
     def __len__(self) -> int:
         return len(self._cycles)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self._cycles))[i]))
+    def _row(self, i: int) -> tuple:
+        """Cycle i as (left, right, produced, num, den, checked), its
+        probability num/den reduced, with den > 0."""
         cyc = self._cycles[i]
         refs, k = self._refs, self._k
         left, right, produced = refs[cyc.left], refs[cyc.right], refs[cyc.produced]
-        return CycleResult(
-            left, right, produced,
-            Fraction(self._num * binom(produced.n, k),
-                     self._den * binom(left.n, k) * binom(right.n, k)),
-            (left.n, right.n) in self._checked)
+        num = self._num * binom(produced.n, k)
+        den = self._den * binom(left.n, k) * binom(right.n, k)
+        g = gcd(num, den)
+        return (left, right, produced, num // g, den // g,
+                (left.n, right.n) in self._checked)
+
+    def rows(self, indexes: range) -> Iterator[tuple]:
+        """The rows (see `_row`) of the cycles at `indexes`, one at a time."""
+        return map(self._row, indexes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self._cycles))[i]))
+        left, right, produced, num, den, checked = self._row(i)
+        return CycleResult(left, right, produced, Fraction(num, den), checked)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self._cycles)))
@@ -174,11 +186,13 @@ class _Resolved(NamedTuple):
     """Declared states and products whose operands resolved, by id.
 
     `depth` and `producer` hold only products; a base state has depth 0.
+    `consumed` holds the ids the cycles take as operands.
     """
 
     refs: dict[str, StateRef]
     depth: dict[str, int]
     producer: dict[str, Cycle]
+    consumed: set[str]
     final: Optional[StateRef]
     violations: list[str]
 
@@ -255,7 +269,7 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
                      None)
         if final is None:
             v.append("plan with no cycles has no input matching the target")
-    return _Resolved(refs, depth, producer, final, v)
+    return _Resolved(refs, depth, producer, consumed, final, v)
 
 
 def _resolve_valid(plan: ProtocolPlan) -> _Resolved:
@@ -342,10 +356,10 @@ def _telescoped(plan: ProtocolPlan, resolved: _Resolved,
     times the C(n, k) of every product never consumed, over the C(n, k) of
     every base state consumed.
     """
-    consumed = {op for cyc in plan.cycles for op in (cyc.left, cyc.right)}
+    producer, consumed = resolved.producer, resolved.consumed
     powers: dict[int, int] = {}  # the power of C(n, k) left, per size n
     for ref in resolved.refs.values():
-        power = (ref.id in resolved.producer) - (ref.id in consumed)
+        power = (ref.id in producer) - (ref.id in consumed)
         if power:
             powers[ref.n] = powers.get(ref.n, 0) + power
     num = beta_sq.numerator ** len(plan.cycles)
@@ -387,7 +401,8 @@ def execute_plan(plan: ProtocolPlan,
             first.setdefault((refs[cyc.left].n, refs[cyc.right].n), i)
         unchecked = _CycleResults(plan, refs, beta_sq, frozenset())
         for cell, i in first.items():
-            problems = oracle(plan.k, *cell, unchecked[i].probability)
+            _, _, _, num, den, _ = unchecked._row(i)
+            problems = oracle(plan.k, *cell, Fraction(num, den))
             if problems:
                 raise PlanExecutionError(
                     i, "oracle disagreement: " + "; ".join(problems))

@@ -1,6 +1,7 @@
 """Plan validation, execution, and the three schedule generators."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -422,6 +423,33 @@ def test_random_plan_forests(plan):
         checked = execute_plan(plan, check_distillation_cell)
         assert [c.oracle_checked for c in checked.cycles] == [
             c.left.n + c.right.n <= DENSE_CAP for c in checked.cycles]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(plan_forests())
+def test_rows_match_the_cycle_results(plan):
+    """The rows the writers read hold each cycle's three states, by the
+    plan's ids, and its probability as the reduced num/den of the
+    `CycleResult` indexing builds, with den > 0."""
+    cycles = execute_plan(plan, check_distillation_cell).cycles
+    rows = list(cycles.rows(range(len(cycles))))
+    assert len(rows) == len(plan.cycles)
+    for row, cyc, r in zip(rows, plan.cycles, cycles):
+        left, right, produced, num, den, checked = row
+        assert (left.id, right.id, produced.id) == cyc
+        assert (left, right, produced, Fraction(num, den), checked) == r
+        assert gcd(num, den) == 1 and den > 0
+
+
+def test_cycle_results_index_from_either_end():
+    """A negative index reads from the end, as a tuple does; an index past
+    either end raises IndexError."""
+    cycles = execute_plan(gen_exponential_plan(2, 30)).cycles
+    whole = tuple(cycles)
+    assert cycles[-1] == whole[-1] and cycles[-len(whole)] == whole[0]
+    for i in (len(whole), -len(whole) - 1):
+        with pytest.raises(IndexError):
+            cycles[i]
 
 
 def test_execute_rejects_invalid_plan():

@@ -25,6 +25,7 @@ from zstates.protocol import (
     CHUNK_CYCLES,
     _resolve_valid,
     execute_plan,
+    gen_exponential_plan,
     gen_incremental_plan,
 )
 from zstates.verify import check_distillation_cell
@@ -78,12 +79,19 @@ def joined_dot(plan):
 C = CHUNK_CYCLES
 
 
-@pytest.mark.parametrize("cycles", [0, 1, C - 1, C, C + 1, 2 * C + 1])
-def test_written_bytes_across_chunk_boundaries(cycles):
-    """An incremental k=1 plan of c cycles has c + 1 base states, so the
-    DOT writer's state chunks cross their boundaries here too.  With the
-    oracle, the first cycles are marked checked and the rest are not."""
-    plan = gen_incremental_plan(1, 3 + cycles)
+@pytest.mark.parametrize("grow, k, cycles", [
+    *[pytest.param(gen_incremental_plan, 1, c, id=str(c))
+      for c in (0, 1, C - 1, C, C + 1, 2 * C + 1)],
+    *[pytest.param(gen_exponential_plan, k, c, id=f"exponential-k{k}-{c}")
+      for k in (2, 3) for c in (C + 1, 2 * C + 1)]])
+def test_written_bytes_across_chunk_boundaries(grow, k, cycles):
+    """A plan grown by c cycles from Z_k(2k+1) base states has c + 1 of
+    them, so the DOT writer's state chunks cross their boundaries here too.
+    An exponential plan repeats its doubling cells, and the C(n, k) of a
+    cycle's states share divisors, so its probabilities reduce.  With the
+    oracle, the cycles of cells within its reach are marked checked and
+    the rest are not."""
+    plan = grow(k, 2 * k + 1 + cycles)
     assert len(plan.cycles) == cycles
     for oracle in (None, check_distillation_cell):
         report = execute_plan(plan, oracle)
