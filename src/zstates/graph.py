@@ -17,13 +17,7 @@ from __future__ import annotations
 from typing import TextIO
 
 from .combinatorics import int_str
-from .protocol import (
-    Cycle,
-    ProtocolPlan,
-    StateRef,
-    _resolve_valid,
-    chunk_ranges,
-)
+from .protocol import ProtocolPlan, _resolve_valid, chunk_ranges
 
 __all__ = ["plan_to_dot"]
 
@@ -32,31 +26,36 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# A state node, and a cycle's projection node, its product and its edges.
+_STATE = '  %s [shape=box, style=rounded, label="Z_%s(%s)"];\n'
+_CYCLE = ('  "proj%d" [shape=rarrow, label="consume %s"];\n' + _STATE
+          + '  %s -> "proj%d";\n  %s -> "proj%d";\n  "proj%d" -> %s;\n')
+
+
 def plan_to_dot(plan: ProtocolPlan, out: TextIO) -> None:
     """Write DOT source for a plan to `out`, a chunk of states or cycles at a
     time; raises InvalidPlanError, with nothing written, if it does not
     validate."""
     refs = _resolve_valid(plan).refs
-    node = {i: _quote("~" + i if i.startswith(("proj", "~")) else i)
-            for i in refs}
+    # Ids are tested all at once: only one holding a quote or a backslash
+    # needs escapes, and only one starting with `proj` or `~` a prefix.
+    ids = "\0" + "\0".join(refs)
+    if any(mark in ids for mark in ('"', "\\", "\0proj", "\0~")):
+        node = {i: _quote("~" + i if i.startswith(("proj", "~")) else i)
+                for i in refs}
+    else:
+        node = dict(zip(refs, map('"%s"'.__mod__, refs)))
     k = int_str(plan.k)  # a valid plan's states all have the plan's k
-    consume = _quote(f"consume {int_str(2 * plan.k)}")
+    consume = int_str(2 * plan.k)
     bases, cycles = (*plan.inputs, *plan.ancillas), plan.cycles
-
-    def state(ref: StateRef) -> str:
-        return (f"  {node[ref.id]} [shape=box, style=rounded, "
-                f"label={_quote(f'Z_{k}({int_str(ref.n)})')}];\n")
-
-    def projection(i: int, cyc: Cycle) -> str:
-        proj = _quote(f"proj{i}")
-        return (f"  {proj} [shape=rarrow, label={consume}];\n"
-                + state(refs[cyc.produced])
-                + f"  {node[cyc.left]} -> {proj};\n  {node[cyc.right]} -> "
-                f"{proj};\n  {proj} -> {node[cyc.produced]};\n")
-
     out.write("digraph plan {\n  rankdir=LR;\n")
     for part in chunk_ranges(len(bases)):
-        out.write("".join([state(bases[i]) for i in part]))
+        out.write("".join([_STATE % (node[ref.id], k, int_str(ref.n))
+                           for ref in bases[part.start:part.stop]]))
     for part in chunk_ranges(len(cycles)):
-        out.write("".join([projection(i, cycles[i]) for i in part]))
+        out.write("".join([
+            _CYCLE % (i, consume, node[produced], k, int_str(refs[produced].n),
+                      node[left], i, node[right], i, i, node[produced])
+            for i, (left, right, produced)
+            in enumerate(cycles[part.start:part.stop], part.start)]))
     out.write("}\n")

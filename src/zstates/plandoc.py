@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from itertools import starmap
+from operator import itemgetter
 from typing import Any, NamedTuple, Optional
 
 from .protocol import (
@@ -94,10 +96,11 @@ def _expect_str(obj: dict, key: str, where: str) -> str:
     return value
 
 
-# The entries of each array field: their fields, each with its check.
-_STATE = {"id": _expect_str, "k": _expect_int, "n": _expect_int}
+# The entries of each array field: their fields, each with its type.
+_STATE = {"id": str, "k": int, "n": int}
 _ENTRIES = {"inputs": _STATE, "ancillas": _STATE,
-            "cycles": dict.fromkeys(("left", "right", "produced"), _expect_str)}
+            "cycles": dict.fromkeys(("left", "right", "produced"), str)}
+_EXPECT = {str: _expect_str, int: _expect_int}
 
 
 def _parse_entry(entry: Any, where: str, fields: dict) -> tuple:
@@ -109,7 +112,40 @@ def _parse_entry(entry: Any, where: str, fields: dict) -> tuple:
             raise DocumentError(f"{where} has unknown fields: {sorted(unknown)}")
         missing = next(key for key in fields if key not in entry)
         raise DocumentError(f"{where} is missing {missing!r}")
-    return tuple([expect(entry, key, where) for key, expect in fields.items()])
+    return tuple([_EXPECT[kind](entry, key, where) for key, kind in fields.items()])
+
+
+def _whole_array(array: list, fields: dict) -> Optional[tuple]:
+    """The entries' values, as `_parse_entry` returns them, if tests over the
+    whole array show every entry valid, else None: every entry is a dict of
+    exactly `fields`, every int field an int (a bool is not), every string
+    field a non-empty ASCII string."""
+    if not ({*map(type, array)} <= {dict} and {*map(len, array)} <= {len(fields)}):
+        return None
+    try:
+        rows = tuple(map(itemgetter(*fields), array))
+    except KeyError:
+        return None
+    for i, kind in enumerate(fields.values()):
+        column = itemgetter(i)
+        if not {*map(type, map(column, rows))} <= {kind}:
+            return None
+        if kind is str and not (all(map(column, rows))
+                                and all(map(str.isascii, map(column, rows)))):
+            return None
+    return rows
+
+
+def _parse_array(array: list, key: str) -> tuple:
+    """Each entry of `key`'s array as a tuple of its values.  The array is
+    checked whole; only if a test fails does the per-entry loop run, so the
+    first flaw is reported, in its own words, as the loop finds it."""
+    fields = _ENTRIES[key]
+    rows = _whole_array(array, fields)
+    if rows is None:
+        rows = tuple([_parse_entry(e, f"{key}[{i}]", fields)
+                      for i, e in enumerate(array)])
+    return rows
 
 
 def parse_document(text: str) -> PlanDocument:
@@ -148,10 +184,8 @@ def parse_document(text: str) -> PlanDocument:
     for key, array in arrays.items():
         if not isinstance(array, list):
             raise DocumentError(f"document.{key} must be an array")
-    inputs, ancillas, cycles = (
-        tuple([_parse_entry(e, f"{key}[{i}]", _ENTRIES[key])
-               for i, e in enumerate(array)])
-        for key, array in arrays.items())
+    inputs, ancillas, cycles = (_parse_array(array, key)
+                                for key, array in arrays.items())
     n1, n2 = (_expect_int(obj, key, "document") if key in obj else None
               for key in ("n1", "n2"))
     if mode == "exact" and n1 + n2 != target_n:
@@ -199,9 +233,9 @@ def document_to_plan(doc: PlanDocument) -> ProtocolPlan:
         check_cycle_count(len(doc.cycles))
     except ValueError as exc:
         raise InvalidPlanError([str(exc)]) from exc
-    return ProtocolPlan(doc.k, tuple(StateRef(*s) for s in doc.inputs),
-                        tuple(StateRef(*s) for s in doc.ancillas),
-                        tuple(Cycle(*c) for c in doc.cycles), doc.target_n)
+    return ProtocolPlan(doc.k, tuple(starmap(StateRef, doc.inputs)),
+                        tuple(starmap(StateRef, doc.ancillas)),
+                        tuple(starmap(Cycle, doc.cycles)), doc.target_n)
 
 
 _APPROX = Context(prec=6, rounding=ROUND_HALF_EVEN)

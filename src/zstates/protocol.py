@@ -2,9 +2,9 @@
 
 A plan is a graph: the declared input and ancilla states are its base
 nodes, and each cycle joins two states, named by id, into a third.  One
-pass resolves every id to its size, depth and producing cycle and collects
-the violations; validation, depth, critical path, ledger, execution and
-DOT export all read it.  Execution is purely symbolic and deterministic.
+pass resolves every id to its size and depth and collects the violations;
+validation, depth, critical path, ledger, execution and DOT export all
+read it.  Execution is purely symbolic and deterministic.
 Every cycle takes the same step, derived once per run; a cycle's success
 probability follows from the norms C(n, k) of its three states.  Cycles act
 on disjoint fresh states (the dataflow rules enforce single consumption),
@@ -16,8 +16,10 @@ results are built when they are read, so a report holds no per-cycle record.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .blocks import z_state
@@ -185,13 +187,12 @@ class PlanExecutionError(RuntimeError):
 class _Resolved(NamedTuple):
     """Declared states and products whose operands resolved, by id.
 
-    `depth` and `producer` hold only products; a base state has depth 0.
-    `consumed` holds the ids the cycles take as operands.
+    `depth` holds only products; a base state has depth 0.  `consumed`
+    holds the ids the cycles take as operands.
     """
 
     refs: dict[str, StateRef]
     depth: dict[str, int]
-    producer: dict[str, Cycle]
     consumed: set[str]
     final: Optional[StateRef]
     violations: list[str]
@@ -201,23 +202,18 @@ def _z(k: int, n: int) -> str:
     return f"Z_{int_str(k)}({int_str(n)})"
 
 
-def _resolve(plan: ProtocolPlan) -> _Resolved:
-    """One pass over the plan; messages spell every integer with `int_str`,
-    since a product of two declared sizes can pass the `str` digit limit."""
+def _state_violations(plan: ProtocolPlan) -> list[str]:
+    """The violations of the declared states, in declaration order."""
     v: list[str] = []
     k = plan.k
-    if k < 1:
-        v.append(f"plan k must be >= 1, got {int_str(k)}")
-    elif k > MAX_K:
-        v.append(f"plan k must be at most {MAX_K}, got {int_str(k)}")
-    refs: dict[str, StateRef] = {}
+    seen: set[str] = set()
     for origin, declared in (("input", plan.inputs), ("ancilla", plan.ancillas)):
         for ref in declared:
             if not ref.id:
                 v.append(f"{origin} state with empty id")
-            if ref.id in refs:
+            if ref.id in seen:
                 v.append(f"duplicate state id {ref.id!r}")
-            refs[ref.id] = ref
+            seen.add(ref.id)
             if ref.k != k:
                 v.append(f"state {ref.id!r} has k={int_str(ref.k)}, "
                          f"plan k={int_str(k)}")
@@ -226,40 +222,74 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
             elif ref.n < ref.k:
                 v.append(f"state {ref.id!r} has k={int_str(ref.k)} > "
                          f"n={int_str(ref.n)}")
+    return v
+
+
+def _cycle_violations(i: int, cyc: Cycle, k: int, refs: dict[str, StateRef],
+                      consumed: set[str], unresolved: set[str]) -> list[str]:
+    """The violations of cycle i, each operand's in turn, then its produced
+    id's; it marks the operands that resolve consumed."""
+    v: list[str] = []
+    for side, op in (("left", cyc.left), ("right", cyc.right)):
+        ref = refs.get(op)
+        if ref is None:
+            # A product of an unresolved cycle was reported with it.
+            if op not in unresolved:
+                v.append(f"cycle {i}: {side} operand {op!r} is not an input, "
+                         f"ancilla, or earlier product")
+            continue
+        if ref.n < 2 * k:
+            v.append(f"cycle {i}: {side} operand {_z(ref.k, ref.n)} has n < 2k")
+        if op in consumed:
+            v.append(f"cycle {i}: {side} operand {op!r} already consumed")
+        consumed.add(op)
+    if not cyc.produced:
+        v.append(f"cycle {i}: empty produced id")
+    if cyc.produced in refs or cyc.produced in unresolved:
+        v.append(f"cycle {i}: produced id {cyc.produced!r} already in use")
+    return v
+
+
+def _resolve(plan: ProtocolPlan) -> _Resolved:
+    """One pass over the plan; messages spell every integer with `int_str`,
+    since a product of two declared sizes can pass the `str` digit limit.
+    Valid states and cycles take one test each; the helpers that word the
+    violations run only where a test fails."""
+    v: list[str] = []
+    k = plan.k
+    if k < 1:
+        v.append(f"plan k must be >= 1, got {int_str(k)}")
+    elif k > MAX_K:
+        v.append(f"plan k must be at most {MAX_K}, got {int_str(k)}")
+    declared = (*plan.inputs, *plan.ancillas)
+    # A repeated id keeps the place of its first and the state of its last.
+    refs = dict(zip(map(itemgetter(0), declared), declared))
+    if not (len(refs) == len(declared) and "" not in refs
+            and {*map(itemgetter(1), declared)} <= {k}
+            and min(map(itemgetter(2), declared), default=k) >= max(k, 1)):
+        v += _state_violations(plan)
     depth: dict[str, int] = {}
-    producer: dict[str, Cycle] = {}
     unresolved: set[str] = set()
     consumed: set[str] = set()
     final: Optional[StateRef] = None
+    get, two_k = refs.get, 2 * k
     for i, cyc in enumerate(plan.cycles):
-        operands = []
-        for side, op in (("left", cyc.left), ("right", cyc.right)):
-            ref = refs.get(op)
-            if ref is None:
-                # A product of an unresolved cycle was reported with it.
-                if op not in unresolved:
-                    v.append(f"cycle {i}: {side} operand {op!r} is not an input, "
-                             f"ancilla, or earlier product")
+        left, right, produced = cyc
+        a, b = get(left), get(right)
+        if (a is not None and b is not None and a.n >= two_k and b.n >= two_k
+                and left != right and left not in consumed
+                and right not in consumed and produced
+                and produced not in refs and produced not in unresolved):
+            consumed.add(left)
+            consumed.add(right)
+        else:
+            v += _cycle_violations(i, cyc, k, refs, consumed, unresolved)
+            if a is None or b is None:
+                final = None
+                unresolved.add(produced)
                 continue
-            if ref.n < 2 * k:
-                v.append(f"cycle {i}: {side} operand {_z(ref.k, ref.n)} has n < 2k")
-            if op in consumed:
-                v.append(f"cycle {i}: {side} operand {op!r} already consumed")
-            consumed.add(op)
-            operands.append(ref)
-        if not cyc.produced:
-            v.append(f"cycle {i}: empty produced id")
-        if cyc.produced in refs or cyc.produced in unresolved:
-            v.append(f"cycle {i}: produced id {cyc.produced!r} already in use")
-        final = None
-        if len(operands) < 2:
-            unresolved.add(cyc.produced)
-            continue
-        left, right = operands
-        final = StateRef(cyc.produced, k, left.n + right.n - 2 * k)
-        refs[final.id] = final
-        depth[final.id] = 1 + max(depth.get(left.id, 0), depth.get(right.id, 0))
-        producer[final.id] = cyc
+        final = refs[produced] = StateRef(produced, k, a.n + b.n - two_k)
+        depth[produced] = 1 + max(depth.get(left, 0), depth.get(right, 0))
     if plan.cycles:
         if final is not None and final.n != plan.target_n:
             v.append(f"final product {_z(final.k, final.n)} does not match "
@@ -269,7 +299,7 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
                      None)
         if final is None:
             v.append("plan with no cycles has no input matching the target")
-    return _Resolved(refs, depth, producer, consumed, final, v)
+    return _Resolved(refs, depth, consumed, final, v)
 
 
 def _resolve_valid(plan: ProtocolPlan) -> _Resolved:
@@ -313,12 +343,13 @@ def critical_path(plan: ProtocolPlan) -> list[int]:
     """
     resolved = _resolve_valid(plan)
     depth = resolved.depth
+    producer = {cyc.produced: cyc for cyc in plan.cycles}
     # max keeps the first of equals: the final state on a tie.
     state = max([resolved.final, *(resolved.refs[i] for i in depth)],
                 key=lambda ref: depth.get(ref.id, 0))
     path = [state.n]
-    while state.id in resolved.producer:
-        cyc = resolved.producer[state.id]
+    while state.id in producer:
+        cyc = producer[state.id]
         pick = (cyc.left if depth.get(cyc.left, 0) >= depth.get(cyc.right, 0)
                 else cyc.right)
         state = resolved.refs[pick]
@@ -356,12 +387,10 @@ def _telescoped(plan: ProtocolPlan, resolved: _Resolved,
     times the C(n, k) of every product never consumed, over the C(n, k) of
     every base state consumed.
     """
-    producer, consumed = resolved.producer, resolved.consumed
-    powers: dict[int, int] = {}  # the power of C(n, k) left, per size n
-    for ref in resolved.refs.values():
-        power = (ref.id in producer) - (ref.id in consumed)
-        if power:
-            powers[ref.n] = powers.get(ref.n, 0) + power
+    refs, depth, consumed = resolved.refs, resolved.depth, resolved.consumed
+    # The power of C(n, k) left, per size n; only products have a depth.
+    powers = Counter([refs[i].n for i in depth.keys() - consumed])
+    powers.subtract([refs[i].n for i in consumed - depth.keys()])
     num = beta_sq.numerator ** len(plan.cycles)
     den = beta_sq.denominator ** len(plan.cycles)
     for n, power in powers.items():

@@ -1,6 +1,7 @@
 """Command line round trips, report formats, and exit codes."""
 
 import argparse
+import collections
 import io
 import json
 import os
@@ -13,11 +14,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import zstates.plandoc
+import zstates.protocol
 import zstates.verify
 from zstates.cli import main, report_to_json
 from zstates.dense import dense_project
 from zstates.distill import success_probability
-from zstates.plandoc import MAX_DOCUMENT_BYTES, document_to_plan, parse_document
+from zstates.plandoc import (
+    MAX_DOCUMENT_BYTES,
+    PlanDocument,
+    document_to_plan,
+    parse_document,
+    render_document,
+)
 from zstates.protocol import (
     MAX_K,
     Cycle,
@@ -675,6 +684,39 @@ def test_graph_invalid_plan_exits_3(tmp_path, capsys):
     }))
     code, _, _ = run_cli(capsys, "graph", str(path))
     assert code == 3
+
+
+def test_a_valid_explicit_plan_takes_the_one_test_paths(tmp_path, capsys,
+                                                       monkeypatch):
+    """On a valid explicit document of 4,000 cycles, `graph` and `run` check
+    each array whole and each state and cycle with one test: neither the
+    per-entry parser nor a helper that words violations runs.  One fault
+    sends its array, or its cycle, down the slow path."""
+    calls = collections.Counter()
+    for module, name in ((zstates.plandoc, "_parse_entry"),
+                         (zstates.protocol, "_state_violations"),
+                         (zstates.protocol, "_cycle_violations")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    plan = gen_incremental_plan(1, 4003)
+    doc = json.loads(render_document(PlanDocument(
+        k=1, target_n=4003, mode="explicit", inputs=plan.inputs,
+        cycles=plan.cycles)))
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    for command in ("graph", "run"):
+        assert run_cli(capsys, command, str(path))[0] == 0
+    assert calls == {}
+    doc["cycles"][-1]["right"] = "ghost"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "graph", str(path))[0] == 3
+    assert calls == {"_cycle_violations": 1}
+    doc["inputs"][-1]["n"] = True
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "graph", str(path))[0] == 2
+    assert calls["_parse_entry"] == len(doc["inputs"])
 
 
 def test_verify_small_bounds(capsys):

@@ -174,3 +174,109 @@ TIES = st.builds(lambda m, e: Fraction(2 * m + 1, 2) * Fraction(10) ** e,
                  TIES))
 def test_approx_decimal_matches_a_per_call_localcontext(value):
     assert approx_decimal(value) == localcontext_decimal(value)
+
+
+# ------------------------------------------- whole-array document checks
+
+def per_entry_arrays(obj: dict) -> tuple:
+    """The three arrays of an explicit document as the per-entry parser
+    checked them, one field of one entry at a time, before arrays were
+    checked whole; DocumentError on the first flaw."""
+    def expect_int(entry, key, where):
+        if type(entry[key]) is not int:
+            raise DocumentError(f"{where}.{key} must be an integer")
+        return entry[key]
+
+    def expect_str(entry, key, where):
+        value = entry[key]
+        if not isinstance(value, str) or not value:
+            raise DocumentError(f"{where}.{key} must be a non-empty string")
+        if not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DocumentError(f"{where}.{key} holds a lone surrogate, "
+                                    f"which UTF-8 cannot encode") from None
+        return value
+
+    state = {"id": expect_str, "k": expect_int, "n": expect_int}
+    entries = {"inputs": state, "ancillas": state,
+               "cycles": dict.fromkeys(("left", "right", "produced"), expect_str)}
+
+    def parse_entry(entry, where, fields):
+        if not isinstance(entry, dict):
+            raise DocumentError(f"{where} must be an object")
+        if entry.keys() != fields.keys():
+            unknown = entry.keys() - fields.keys()
+            if unknown:
+                raise DocumentError(f"{where} has unknown fields: {sorted(unknown)}")
+            missing = next(key for key in fields if key not in entry)
+            raise DocumentError(f"{where} is missing {missing!r}")
+        return tuple([expect(entry, key, where) for key, expect in fields.items()])
+
+    return tuple(tuple([parse_entry(e, f"{key}[{i}]", entries[key])
+                        for i, e in enumerate(obj.get(key, []))])
+                 for key in entries)
+
+
+ENTRY_IDS = st.text(st.characters(max_codepoint=127), min_size=1, max_size=3)
+STATE_ENTRIES = st.fixed_dictionaries(
+    {"id": ENTRY_IDS, "k": st.integers(-2, 9), "n": st.integers(-2, 9)})
+CYCLE_ENTRIES = st.fixed_dictionaries(
+    {"left": ENTRY_IDS, "right": ENTRY_IDS, "produced": ENTRY_IDS})
+ENTRY_FAULTS = ("none", "non-dict", "missing key", "extra key", "bool",
+                "float", "empty id", "lone surrogate", "non-ASCII id")
+
+
+def with_fault(entry: dict, fault: str, field: str, int_field: str):
+    """The entry with one fault; `field` is any of its fields, `int_field`
+    one of its int fields, if it has any."""
+    entry = dict(entry)
+    str_field = next(f for f in entry if f not in ("k", "n"))
+    if fault == "non-dict":
+        return list(entry.values())
+    if fault == "missing key":
+        del entry[field]
+    elif fault == "extra key":
+        entry["extra"] = 1
+    elif fault in ("bool", "float"):
+        entry[int_field] = {"bool": True, "float": 3.0}[fault]
+    elif fault == "empty id":
+        entry[str_field] = ""
+    elif fault == "lone surrogate":
+        entry[str_field] += "\ud800"
+    elif fault == "non-ASCII id":
+        entry[str_field] += "é\U0001d11e"
+    return entry
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(st.lists(STATE_ENTRIES, min_size=1, max_size=5),
+       st.lists(STATE_ENTRIES, max_size=5),
+       st.lists(CYCLE_ENTRIES, max_size=5),
+       st.sampled_from(("inputs", "ancillas", "cycles")),
+       st.sampled_from(("first", "middle", "last")),
+       st.sampled_from(ENTRY_FAULTS), st.data())
+def test_whole_array_checks_match_the_per_entry_parser(
+        inputs, ancillas, cycles, key, where, fault, data):
+    """With one fault at the first, a middle or the last entry of one array,
+    `parse_document` raises the per-entry parser's exact message, or, for a
+    fault it accepts (a non-ASCII id), returns the same document."""
+    obj = {"schema_version": 1, "mode": "explicit", "k": 1, "target_n": 4,
+           "inputs": inputs, "ancillas": ancillas, "cycles": cycles}
+    array = obj[key]
+    if array:
+        i = {"first": 0, "middle": len(array) // 2, "last": len(array) - 1}[where]
+        fields = sorted(array[i])
+        array[i] = with_fault(array[i], fault, data.draw(st.sampled_from(fields)),
+                              data.draw(st.sampled_from(
+                                  [f for f in fields if f in ("k", "n")] or fields)))
+    try:
+        expected = PlanDocument(1, 4, "explicit", None, None, *per_entry_arrays(obj))
+    except DocumentError as exc:
+        expected = str(exc)
+    try:
+        got = parse_document(json.dumps(obj))
+    except DocumentError as exc:
+        got = str(exc)
+    assert got == expected

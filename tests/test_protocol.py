@@ -30,6 +30,7 @@ from zstates import (
     z_state,
 )
 from zstates.blocks import block_sum
+from zstates.protocol import MAX_K, _resolve
 from zstates.dense import DENSE_CAP, dense_project
 from zstates.distill import DistillOutcome
 from zstates.verify import check_distillation_cell
@@ -439,6 +440,140 @@ def test_rows_match_the_cycle_results(plan):
         assert (left.id, right.id, produced.id) == cyc
         assert (left, right, produced, Fraction(num, den), checked) == r
         assert gcd(num, den) == 1 and den > 0
+
+
+def per_side_resolve(plan):
+    """`_resolve` as it was written before its one-test fast paths: every
+    state and each side of every cycle checked in turn.  Returns its
+    fields: refs, depth, consumed, final and the violations."""
+    v = []
+    k = plan.k
+    if k < 1:
+        v.append(f"plan k must be >= 1, got {k}")
+    elif k > MAX_K:
+        v.append(f"plan k must be at most {MAX_K}, got {k}")
+    refs = {}
+    for origin, declared in (("input", plan.inputs), ("ancilla", plan.ancillas)):
+        for ref in declared:
+            if not ref.id:
+                v.append(f"{origin} state with empty id")
+            if ref.id in refs:
+                v.append(f"duplicate state id {ref.id!r}")
+            refs[ref.id] = ref
+            if ref.k != k:
+                v.append(f"state {ref.id!r} has k={ref.k}, plan k={k}")
+            if ref.n < 1:
+                v.append(f"state {ref.id!r} has no qubits")
+            elif ref.n < ref.k:
+                v.append(f"state {ref.id!r} has k={ref.k} > n={ref.n}")
+    depth, unresolved, consumed, final = {}, set(), set(), None
+    for i, cyc in enumerate(plan.cycles):
+        operands = []
+        for side, op in (("left", cyc.left), ("right", cyc.right)):
+            ref = refs.get(op)
+            if ref is None:
+                if op not in unresolved:
+                    v.append(f"cycle {i}: {side} operand {op!r} is not an input, "
+                             f"ancilla, or earlier product")
+                continue
+            if ref.n < 2 * k:
+                v.append(f"cycle {i}: {side} operand Z_{ref.k}({ref.n}) has n < 2k")
+            if op in consumed:
+                v.append(f"cycle {i}: {side} operand {op!r} already consumed")
+            consumed.add(op)
+            operands.append(ref)
+        if not cyc.produced:
+            v.append(f"cycle {i}: empty produced id")
+        if cyc.produced in refs or cyc.produced in unresolved:
+            v.append(f"cycle {i}: produced id {cyc.produced!r} already in use")
+        final = None
+        if len(operands) < 2:
+            unresolved.add(cyc.produced)
+            continue
+        left, right = operands
+        final = StateRef(cyc.produced, k, left.n + right.n - 2 * k)
+        refs[final.id] = final
+        depth[final.id] = 1 + max(depth.get(left.id, 0), depth.get(right.id, 0))
+    if plan.cycles:
+        if final is not None and final.n != plan.target_n:
+            v.append(f"final product Z_{final.k}({final.n}) does not match "
+                     f"target Z_{k}({plan.target_n})")
+    else:
+        final = next((r for r in plan.inputs if (r.k, r.n) == (k, plan.target_n)),
+                     None)
+        if final is None:
+            v.append("plan with no cycles has no input matching the target")
+    return refs, depth, consumed, final, v
+
+
+PLAN_FAULTS = ("none", "unknown operand", "same id on both sides",
+               "reused operand", "operand < 2k", "empty produced id",
+               "reused produced id", "unresolved product reused",
+               "wrong target", "duplicate state id", "empty state id",
+               "state k", "no qubits", "k > n", "k = 0")
+
+
+def with_plan_fault(plan, fault, pick):
+    """The plan with one fault; `pick(seq)` draws an element of `seq`."""
+    k, cycles = plan.k, list(plan.cycles)
+    states = [*plan.inputs, *plan.ancillas]
+    ids = [r.id for r in states] + [c.produced for c in cycles]
+    if fault == "wrong target":
+        return plan._replace(target_n=plan.target_n + pick([-1, 1, 5]))
+    if fault == "k = 0":  # the plan's and every state's; one state's n below
+        plan = plan._replace(k=0)
+        states = [r._replace(k=0) for r in states]
+    if fault in ("duplicate state id", "empty state id", "state k",
+                 "no qubits", "k > n", "k = 0"):
+        i = pick(range(len(states)))
+        ref = states[i]
+        states[i] = {"duplicate state id": ref._replace(id=pick(ids)),
+                     "empty state id": ref._replace(id=""),
+                     "state k": ref._replace(k=k + pick([-1, 1])),
+                     "no qubits": ref._replace(n=pick([0, -1])),
+                     "k > n": ref._replace(k=ref.n + 1),
+                     "k = 0": ref._replace(n=0)}[fault]
+        split = len(plan.inputs)
+        return plan._replace(inputs=tuple(states[:split]),
+                             ancillas=tuple(states[split:]))
+    if fault == "none" or not cycles:
+        return plan
+    i = pick(range(len(cycles)))
+    side = pick(["left", "right"])
+    cyc = cycles[i]
+    if fault == "unknown operand":
+        cyc = cyc._replace(**{side: "ghost"})
+    elif fault == "same id on both sides":
+        cyc = cyc._replace(right=cyc.left)
+    elif fault == "reused operand":
+        cyc = cyc._replace(**{side: pick(ids)})
+    elif fault == "operand < 2k":
+        small = StateRef("small", k, pick(range(k, 2 * k)))
+        plan = plan._replace(ancillas=(*plan.ancillas, small))
+        cyc = cyc._replace(**{side: "small"})
+    elif fault == "empty produced id":
+        cyc = cyc._replace(produced="")
+    elif fault == "reused produced id":
+        cyc = cyc._replace(produced=pick(ids))
+    elif fault == "unresolved product reused" and i:
+        # An earlier cycle left unresolved, its product id produced again.
+        j = pick(range(i))
+        cycles[j] = cycles[j]._replace(left="ghost")
+        cyc = cyc._replace(produced=cycles[j].produced)
+    cycles[i] = cyc
+    return plan._replace(cycles=tuple(cycles))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(plan_forests(), st.sampled_from(PLAN_FAULTS), st.data())
+def test_one_test_resolve_matches_the_per_side_checks(plan, fault, data):
+    """With one fault in a valid plan, `_resolve` finds what the per-side
+    checks found: the same violations in the same order, and the same
+    states, depths, consumed ids and final state."""
+    plan = with_plan_fault(plan, fault, lambda seq: data.draw(st.sampled_from(seq)))
+    expected = per_side_resolve(plan)
+    assert tuple(_resolve(plan)) == expected
+    assert validate_plan(plan) == expected[-1]
 
 
 def test_cycle_results_index_from_either_end():

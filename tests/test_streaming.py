@@ -23,6 +23,9 @@ from zstates.graph import _quote, plan_to_dot
 from zstates.plandoc import approx_decimal
 from zstates.protocol import (
     CHUNK_CYCLES,
+    Cycle,
+    ProtocolPlan,
+    StateRef,
     _resolve_valid,
     execute_plan,
     gen_exponential_plan,
@@ -97,6 +100,24 @@ def test_written_bytes_across_chunk_boundaries(grow, k, cycles):
         report = execute_plan(plan, oracle)
         assert written(report_to_text, plan, report) == joined_text(plan, report)
         assert written(report_to_json, plan, report) == reference_json(plan, report)
+    assert written(plan_to_dot, plan) == joined_dot(plan)
+
+
+@pytest.mark.parametrize("marks", [
+    ("plain", "n"), ('q"', "n"), ("b\\", "n"), ("proj", "n"), ("~", "n"),
+    ("n", 'q"', "b\\", "proj", "~", "é")])
+def test_graph_bytes_with_ids_that_need_quoting_or_a_prefix(marks):
+    """A chain of C + 1 cycles whose ids start with, or hold, a quote, a
+    backslash, `proj` or `~` writes the bytes each node quoted on its own
+    wrote, on either side of the chunk boundary, whether one such id or
+    none is in the plan."""
+    ids = [f"{marks[i % len(marks)]}{i}" for i in range(2 * C + 3)]
+    inputs = tuple(StateRef(i, 1, 3) for i in ids[:C + 2])
+    cycles, left = [], ids[0]
+    for right, produced in zip(ids[1:C + 2], ids[C + 2:]):
+        cycles.append(Cycle(left, right, produced))
+        left = produced
+    plan = ProtocolPlan(1, inputs, (), tuple(cycles), C + 4)
     assert written(plan_to_dot, plan) == joined_dot(plan)
 
 
