@@ -137,13 +137,6 @@ _JSON_CYCLE = ('    {\n      "index": %d,\n      "left": %s,\n      "right": %s,
                '      "oracle_checked": %s\n    }')
 
 
-def _json_cycle(i: int, row: tuple) -> str:
-    left, right, produced, num, den, checked = row
-    return _JSON_CYCLE % (i, _quote(left.id), _quote(right.id),
-                          _quote(produced.id), produced.k, produced.n,
-                          num, den, "true" if checked else "false")
-
-
 def report_to_json(plan: ProtocolPlan, report: ExecutionReport,
                    out: TextIO) -> None:
     """Write the machine-readable report to `out` as `json.dump(..., indent=2)`
@@ -161,19 +154,13 @@ def report_to_json(plan: ProtocolPlan, report: ExecutionReport,
               f'    "id": {_quote(final.id)},\n    "k": {final.k},\n'
               f'    "n": {final.n}\n  }},\n  "cycles": ']
     for part in chunk_ranges(len(cycles)):
-        chunks += [",\n" if part.start else "[\n",
-                   ",\n".join(map(_json_cycle, part, cycles.rows(part)))]
+        chunks += [",\n" if part.start else "[\n", ",\n".join([
+            _JSON_CYCLE % (i, _quote(left), _quote(right), _quote(produced), plan.k,
+                           n, num, den, "true" if checked else "false")
+            for i, (left, right, produced, _, _, n, num, den, checked)
+            in zip(part, cycles.rows(part))])]
     chunks.append(("\n  ],\n" if len(cycles) else "[],\n") + tail)
     out.writelines(chunks)
-
-
-def _text_cycle(i: int, row: tuple) -> str:
-    left, right, produced, num, den, checked = row
-    return (f"cycle {i + 1}: {_state_str(left)}[{left.id}] + "
-            f"{_state_str(right)}[{right.id}] -> "
-            f"{_state_str(produced)}[{produced.id}]  "
-            f"p = {_ratio_str(num, den)} (~ {approx_ratio(num, den)})"
-            f"{'  [oracle ok]' if checked else ''}\n")
 
 
 def report_to_text(plan: ProtocolPlan, report: ExecutionReport,
@@ -183,8 +170,15 @@ def report_to_text(plan: ProtocolPlan, report: ExecutionReport,
     cycles = report.cycles
     out.write(f"plan: k={plan.k} cycles={len(plan.cycles)} "
               f"target=Z_{plan.k}({plan.target_n})\n")
+    z = f"Z_{plan.k}("  # a valid plan's states all have the plan's k
     for part in chunk_ranges(len(cycles)):
-        out.write("".join(map(_text_cycle, part, cycles.rows(part))))
+        out.write("".join([
+            f"cycle {i + 1}: {z}{int_str(n1)})[{left}] + {z}{int_str(n2)})"
+            f"[{right}] -> {z}{int_str(n)})[{produced}]  p = "
+            f"{_ratio_str(num, den)} (~ {approx_ratio(num, den)})"
+            f"{'  [oracle ok]' if checked else ''}\n"
+            for i, (left, right, produced, n1, n2, n, num, den, checked)
+            in zip(part, cycles.rows(part))]))
     out.write("cumulative success probability: "
               f"{_frac_str(report.cumulative_success)} "
               f"(~ {approx_decimal(report.cumulative_success)})\n"
@@ -196,11 +190,9 @@ def report_to_text(plan: ProtocolPlan, report: ExecutionReport,
 def _max_digits(report: ExecutionReport) -> int:
     """Most decimal digits of any int in the JSON report: in its fractions or
     its ledger, whose sums bound every state size, index and k in it."""
-    cumulative, cycles = report.cumulative_success, report.cycles
-    ints = [value for _, value in _ledger_items(report.ledger)]
-    ints += (cumulative.numerator, cumulative.denominator)
-    for row in cycles.rows(range(len(cycles))):
-        ints += row[3:5]
+    ints = [*report.ledger, *report.cumulative_success.as_integer_ratio()]
+    for row in report.cycles.rows(range(len(report.cycles))):
+        ints += row[6:8]
     return len(int_str(max(map(abs, ints))))
 
 

@@ -14,6 +14,7 @@ other ids never start with `~`, and the prefix keeps distinct ids distinct.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TextIO
 
 from .combinatorics import int_str
@@ -36,26 +37,26 @@ def plan_to_dot(plan: ProtocolPlan, out: TextIO) -> None:
     """Write DOT source for a plan to `out`, a chunk of states or cycles at a
     time; raises InvalidPlanError, with nothing written, if it does not
     validate."""
-    refs = _resolve_valid(plan).refs
+    sizes, _, left, right = _resolve_valid(plan)[:4]
+    bases, cycles = (*plan.inputs, *plan.ancillas), plan.cycles
+    ids = [*map(itemgetter(0), bases), *map(itemgetter(2), cycles)]
     # Ids are tested all at once: only one holding a quote or a backslash
     # needs escapes, and only one starting with `proj` or `~` a prefix.
-    ids = "\0" + "\0".join(refs)
-    if any(mark in ids for mark in ('"', "\\", "\0proj", "\0~")):
-        node = {i: _quote("~" + i if i.startswith(("proj", "~")) else i)
-                for i in refs}
+    joined = "\0" + "\0".join(ids)
+    if any(mark in joined for mark in ('"', "\\", "\0proj", "\0~")):
+        node = [_quote("~" + i if i.startswith(("proj", "~")) else i) for i in ids]
     else:
-        node = dict(zip(refs, map('"%s"'.__mod__, refs)))
+        node = list(map('"%s"'.__mod__, ids))
     k = int_str(plan.k)  # a valid plan's states all have the plan's k
-    consume = int_str(2 * plan.k)
-    bases, cycles = (*plan.inputs, *plan.ancillas), plan.cycles
+    consume, d = int_str(2 * plan.k), len(bases)
     out.write("digraph plan {\n  rankdir=LR;\n")
-    for part in chunk_ranges(len(bases)):
-        out.write("".join([_STATE % (node[ref.id], k, int_str(ref.n))
-                           for ref in bases[part.start:part.stop]]))
+    for part in chunk_ranges(d):
+        out.write("".join([_STATE % (node[s], k, int_str(sizes[s])) for s in part]))
     for part in chunk_ranges(len(cycles)):
+        start, stop = part.start, part.stop
         out.write("".join([
-            _CYCLE % (i, consume, node[produced], k, int_str(refs[produced].n),
-                      node[left], i, node[right], i, i, node[produced])
-            for i, (left, right, produced)
-            in enumerate(cycles[part.start:part.stop], part.start)]))
+            _CYCLE % (i, consume, node[s], k, int_str(sizes[s]), node[a], i,
+                      node[b], i, i, node[s])
+            for i, s, a, b in zip(part, range(d + start, d + stop),
+                                  left[start:stop], right[start:stop])]))
     out.write("}\n")

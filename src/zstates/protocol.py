@@ -2,28 +2,29 @@
 
 A plan is a graph: the declared input and ancilla states are its base
 nodes, and each cycle joins two states, named by id, into a third.  One
-pass resolves every id to its size and depth and collects the violations;
-validation, depth, critical path, ledger, execution and DOT export all
-read it.  Execution is purely symbolic and deterministic.
-Every cycle takes the same step, derived once per run; a cycle's success
-probability follows from the norms C(n, k) of its three states.  Cycles act
-on disjoint fresh states (the dataflow rules enforce single consumption),
-so the probability that an entire plan succeeds is the product of its
-per-cycle success probabilities, a product that telescopes.  A report's
-summary is computed from the resolve pass and the one step; its cycle
-results are built when they are read, so a report holds no per-cycle record.
+pass resolves it into int columns by state position (sizes, depths,
+operands) and collects the violations; validation, depth, critical path,
+ledger, execution and DOT export all read those columns.  Execution is
+purely symbolic: each cycle takes the one step, derived once per run, and
+its probability follows from the norms C(n, k) of its three states, each
+computed once.  Cycles act on disjoint fresh states (the dataflow rules
+enforce single consumption), so the probability that a whole plan succeeds
+is the product of its per-cycle probabilities, a product that telescopes.
+A report's summary comes from the resolve pass and the one step; its
+cycle results are built when read, so a report holds no per-cycle record.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
-from operator import itemgetter
+from itertools import chain, repeat
+from math import comb, gcd
+from operator import itemgetter, lt
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .blocks import z_state
-from .combinatorics import binom, int_str
+from .combinatorics import int_str
 from .distill import DistillationError, distill_step
 
 __all__ = [
@@ -109,50 +110,47 @@ class ResourceLedger(NamedTuple):
 
 
 class _CycleResults:
-    """A report's cycle results, each computed when it is read, from the
-    resolved states and the step's beta_sq: a report holds no per-cycle
-    record.  The writers read plain rows (`rows`); indexing builds a
-    `CycleResult` from the same row.  It has a length, can be indexed,
-    sliced (into a tuple) and iterated any number of times, and equals
-    another report's results when they hold equal records.  `checked` holds
-    the cells (n1, n2) the oracle replayed.
-    """
+    """A report's cycle results, each computed when it is read from the
+    resolved columns, the states' C(n, k) and the step's beta_sq; `checked`
+    holds the cells (n1, n2) the oracle replayed.  The writers read plain
+    rows (`rows`), and indexing builds a `CycleResult` from the same row.
+    It has a length, can be indexed, sliced (into a tuple) and iterated any
+    number of times, and equals another report's when their records do."""
 
-    __slots__ = ("_cycles", "_refs", "_k", "_num", "_den", "_checked")
+    __slots__ = ("_plan", "_resolved", "_norms", "_num", "_den", "_checked")
 
-    def __init__(self, plan: ProtocolPlan, refs: dict[str, StateRef],
-                 beta_sq: Fraction, checked: frozenset) -> None:
-        self._cycles, self._refs, self._k = plan.cycles, refs, plan.k
+    def __init__(self, plan: ProtocolPlan, resolved: _Resolved,
+                 norms: list[int], beta_sq: Fraction) -> None:
+        self._plan, self._resolved, self._norms = plan, resolved, norms
         self._num, self._den = beta_sq.numerator, beta_sq.denominator
-        self._checked = checked
+        self._checked: frozenset = frozenset()
 
     def __len__(self) -> int:
-        return len(self._cycles)
-
-    def _row(self, i: int) -> tuple:
-        """Cycle i as (left, right, produced, num, den, checked), its
-        probability num/den reduced, with den > 0."""
-        cyc = self._cycles[i]
-        refs, k = self._refs, self._k
-        left, right, produced = refs[cyc.left], refs[cyc.right], refs[cyc.produced]
-        num = self._num * binom(produced.n, k)
-        den = self._den * binom(left.n, k) * binom(right.n, k)
-        g = gcd(num, den)
-        return (left, right, produced, num // g, den // g,
-                (left.n, right.n) in self._checked)
+        return len(self._plan.cycles)
 
     def rows(self, indexes: range) -> Iterator[tuple]:
-        """The rows (see `_row`) of the cycles at `indexes`, one at a time."""
-        return map(self._row, indexes)
+        """Each cycle's row, for the consecutive `indexes`: (left, right, produced,
+        n_left, n_right, n_produced, num, den, checked), num/den reduced, den > 0."""
+        start, stop = indexes.start, indexes.stop
+        sizes, _, left, right = self._resolved[:4]
+        norms, num, den, checked = self._norms, self._num, self._den, self._checked
+        for (left_id, right_id, produced), a, b, s in zip(
+                self._plan.cycles[start:stop], left[start:stop], right[start:stop],
+                range(len(sizes) - len(left) + start, len(sizes))):
+            p, q = num * norms[s], den * norms[a] * norms[b]
+            g, n1, n2 = gcd(p, q), sizes[a], sizes[b]
+            yield (left_id, right_id, produced, n1, n2, sizes[s], p // g, q // g,
+                   (n1, n2) in checked)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self._cycles))[i]))
-        left, right, produced, num, den, checked = self._row(i)
-        return CycleResult(left, right, produced, Fraction(num, den), checked)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self._cycles)))
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]  # negative from the end; IndexError ends iter()
+        left, right, produced, n1, n2, n, num, den, checked = next(
+            self.rows(range(i, i + 1)))
+        k = self._plan.k
+        return CycleResult(StateRef(left, k, n1), StateRef(right, k, n2),
+                           StateRef(produced, k, n), Fraction(num, den), checked)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _CycleResults):
@@ -185,16 +183,17 @@ class PlanExecutionError(RuntimeError):
 
 
 class _Resolved(NamedTuple):
-    """Declared states and products whose operands resolved, by id.
+    """Each state's size and dependency depth by position (the declared
+    states in order, then cycle i's product at D + i, D the number
+    declared), each cycle's operand positions and the final state's.  In a
+    plan that does not validate, an operand naming no state has position
+    None, as have the size and depth of a product of such an operand."""
 
-    `depth` holds only products; a base state has depth 0.  `consumed`
-    holds the ids the cycles take as operands.
-    """
-
-    refs: dict[str, StateRef]
-    depth: dict[str, int]
-    consumed: set[str]
-    final: Optional[StateRef]
+    sizes: list
+    depth: list
+    left: list
+    right: list
+    final: Optional[int]
     violations: list[str]
 
 
@@ -225,27 +224,28 @@ def _state_violations(plan: ProtocolPlan) -> list[str]:
     return v
 
 
-def _cycle_violations(i: int, cyc: Cycle, k: int, refs: dict[str, StateRef],
-                      consumed: set[str], unresolved: set[str]) -> list[str]:
+def _cycle_violations(i: int, cyc: Cycle, k: int, declared: tuple, index: dict,
+                      sizes: list, consumed: set, unresolved: set) -> list[str]:
     """The violations of cycle i, each operand's in turn, then its produced
     id's; it marks the operands that resolve consumed."""
     v: list[str] = []
     for side, op in (("left", cyc.left), ("right", cyc.right)):
-        ref = refs.get(op)
-        if ref is None:
+        s = index.get(op)
+        if s is None:
             # A product of an unresolved cycle was reported with it.
             if op not in unresolved:
                 v.append(f"cycle {i}: {side} operand {op!r} is not an input, "
                          f"ancilla, or earlier product")
             continue
-        if ref.n < 2 * k:
-            v.append(f"cycle {i}: {side} operand {_z(ref.k, ref.n)} has n < 2k")
+        if sizes[s] < 2 * k:
+            z = _z(declared[s].k if s < len(declared) else k, sizes[s])
+            v.append(f"cycle {i}: {side} operand {z} has n < 2k")
         if op in consumed:
             v.append(f"cycle {i}: {side} operand {op!r} already consumed")
         consumed.add(op)
     if not cyc.produced:
         v.append(f"cycle {i}: empty produced id")
-    if cyc.produced in refs or cyc.produced in unresolved:
+    if cyc.produced in index or cyc.produced in unresolved:
         v.append(f"cycle {i}: produced id {cyc.produced!r} already in use")
     return v
 
@@ -253,53 +253,70 @@ def _cycle_violations(i: int, cyc: Cycle, k: int, refs: dict[str, StateRef],
 def _resolve(plan: ProtocolPlan) -> _Resolved:
     """One pass over the plan; messages spell every integer with `int_str`,
     since a product of two declared sizes can pass the `str` digit limit.
-    Valid states and cycles take one test each; the helpers that word the
-    violations run only where a test fails."""
+    A valid plan passes whole-array tests: ids distinct and non-empty, each
+    operand an earlier state consumed once and no smaller than 2k.  Any other
+    runs the loop that words violations, its helpers only where a test fails."""
     v: list[str] = []
     k = plan.k
     if k < 1:
         v.append(f"plan k must be >= 1, got {int_str(k)}")
     elif k > MAX_K:
         v.append(f"plan k must be at most {MAX_K}, got {int_str(k)}")
-    declared = (*plan.inputs, *plan.ancillas)
-    # A repeated id keeps the place of its first and the state of its last.
-    refs = dict(zip(map(itemgetter(0), declared), declared))
-    if not (len(refs) == len(declared) and "" not in refs
-            and {*map(itemgetter(1), declared)} <= {k}
-            and min(map(itemgetter(2), declared), default=k) >= max(k, 1)):
+    declared, cycles = (*plan.inputs, *plan.ancillas), plan.cycles
+    d, n, two_k = len(declared), len(declared) + len(cycles), 2 * k
+    index = dict(zip(chain(map(itemgetter(0), declared),
+                           map(itemgetter(2), cycles)), range(n)))
+    distinct = len(index) == n and "" not in index
+    sizes, depth = [*map(itemgetter(2), declared)], [0] * d
+    least = min(sizes, default=k)
+    if not (distinct and {*map(itemgetter(1), declared)} <= {k}
+            and least >= max(k, 1)):
         v += _state_violations(plan)
-    depth: dict[str, int] = {}
-    unresolved: set[str] = set()
-    consumed: set[str] = set()
-    final: Optional[StateRef] = None
-    get, two_k = refs.get, 2 * k
-    for i, cyc in enumerate(plan.cycles):
-        left, right, produced = cyc
-        a, b = get(left), get(right)
-        if (a is not None and b is not None and a.n >= two_k and b.n >= two_k
-                and left != right and left not in consumed
-                and right not in consumed and produced
-                and produced not in refs and produced not in unresolved):
-            consumed.add(left)
-            consumed.add(right)
-        else:
-            v += _cycle_violations(i, cyc, k, refs, consumed, unresolved)
-            if a is None or b is None:
-                final = None
-                unresolved.add(produced)
-                continue
-        final = refs[produced] = StateRef(produced, k, a.n + b.n - two_k)
-        depth[produced] = 1 + max(depth.get(left, 0), depth.get(right, 0))
-    if plan.cycles:
-        if final is not None and final.n != plan.target_n:
-            v.append(f"final product {_z(final.k, final.n)} does not match "
+    # An id no state has gets position n, which no cycle's position passes.
+    left = [*map(index.get, map(itemgetter(0), cycles), repeat(n))]
+    right = [*map(index.get, map(itemgetter(1), cycles), repeat(n))]
+    valid = (distinct and all(map(lt, left, range(d, n)))
+             and all(map(lt, right, range(d, n)))
+             and len({*left, *right}) == 2 * len(cycles))
+    if valid:
+        for a, b in zip(left, right):
+            sizes.append(sizes[a] + sizes[b] - two_k)
+            depth.append(max(depth[a], depth[b]) + 1)
+        # With no base state below 2k, no product is either.
+        valid = least >= two_k or min(map(sizes.__getitem__, left + right),
+                                      default=two_k) >= two_k
+    if not valid:
+        sizes[d:], depth[d:] = [None] * len(cycles), [None] * len(cycles)
+        # A repeated id keeps the place of its first and the state of its last.
+        index = dict(zip(map(itemgetter(0), declared), range(d)))
+        unresolved, consumed = set(), set()
+        for i, (lid, rid, pid) in enumerate(cycles):
+            a, b = left[i], right[i] = index.get(lid), index.get(rid)
+            if (a is not None and b is not None and sizes[a] >= two_k
+                    and sizes[b] >= two_k and lid != rid and lid not in consumed
+                    and rid not in consumed and pid and pid not in index
+                    and pid not in unresolved):
+                consumed.update((lid, rid))
+            else:
+                v += _cycle_violations(i, cycles[i], k, declared, index, sizes,
+                                       consumed, unresolved)
+                if a is None or b is None:
+                    unresolved.add(pid)
+                    continue
+            index[pid] = d + i
+            sizes[d + i] = sizes[a] + sizes[b] - two_k
+            depth[d + i] = max(depth[a], depth[b]) + 1
+    if cycles:
+        final = None if sizes[-1] is None else n - 1
+        if final is not None and sizes[final] != plan.target_n:
+            v.append(f"final product {_z(k, sizes[final])} does not match "
                      f"target {_z(k, plan.target_n)}")
     else:
-        final = next((r for r in plan.inputs if (r.k, r.n) == (k, plan.target_n)),
-                     None)
+        final = next((s for s, r in enumerate(plan.inputs)
+                      if (r.k, r.n) == (k, plan.target_n)), None)
         if final is None:
             v.append("plan with no cycles has no input matching the target")
-    return _Resolved(refs, depth, consumed, final, v)
+    return _Resolved(sizes, depth, left, right, final, v)
 
 
 def _resolve_valid(plan: ProtocolPlan) -> _Resolved:
@@ -320,20 +337,6 @@ def validate_plan(plan: ProtocolPlan) -> list[str]:
     return _resolve(plan).violations
 
 
-def _ledger(plan: ProtocolPlan, resolved: _Resolved) -> ResourceLedger:
-    input_qubits = sum(r.n for r in plan.inputs)
-    ancilla_qubits = sum(r.n for r in plan.ancillas)
-    consumed = 2 * plan.k * len(plan.cycles)
-    return ResourceLedger(
-        input_qubits=input_qubits,
-        ancilla_qubits=ancilla_qubits,
-        consumed_qubits=consumed,
-        cycles=len(plan.cycles),
-        output_qubits=input_qubits + ancilla_qubits - consumed,
-        depth=max(resolved.depth.values(), default=0),
-    )
-
-
 def critical_path(plan: ProtocolPlan) -> list[int]:
     """Qubit counts along the deepest dependency chain, base state first.
 
@@ -341,21 +344,16 @@ def critical_path(plan: ProtocolPlan) -> list[int]:
     not depend on lies deeper; its length is then still the ledger's depth
     plus one.  Raises InvalidPlanError for a plan that does not validate.
     """
-    resolved = _resolve_valid(plan)
-    depth = resolved.depth
-    producer = {cyc.produced: cyc for cyc in plan.cycles}
+    sizes, depth, left, right, final, _ = _resolve_valid(plan)
+    d = len(sizes) - len(left)  # state s >= d is cycle s - d's product
     # max keeps the first of equals: the final state on a tie.
-    state = max([resolved.final, *(resolved.refs[i] for i in depth)],
-                key=lambda ref: depth.get(ref.id, 0))
-    path = [state.n]
-    while state.id in producer:
-        cyc = producer[state.id]
-        pick = (cyc.left if depth.get(cyc.left, 0) >= depth.get(cyc.right, 0)
-                else cyc.right)
-        state = resolved.refs[pick]
-        path.append(state.n)
-    path.reverse()
-    return path
+    s = max([final, *range(d, len(sizes))], key=depth.__getitem__)
+    path = [sizes[s]]
+    while s >= d:
+        a, b = left[s - d], right[s - d]
+        s = a if depth[a] >= depth[b] else b
+        path.append(sizes[s])
+    return path[::-1]
 
 
 def _step_beta_sq(k: int) -> Fraction:
@@ -375,29 +373,25 @@ def _step_beta_sq(k: int) -> Fraction:
         raise PlanExecutionError(0, str(exc)) from exc
     if outcome.post_state != z_state(k, n, "out"):
         raise PlanExecutionError(0, f"post state is not the unit {_z(k, n)}")
-    return outcome.success_probability * binom(n, k)
+    return outcome.success_probability * comb(n, k)
 
 
-def _telescoped(plan: ProtocolPlan, resolved: _Resolved,
-                beta_sq: Fraction) -> Fraction:
+def _telescoped(norms: list, unused: set, d: int, beta_sq: Fraction) -> Fraction:
     """The product of every cycle's probability, reduced once.
 
     A product's C(n, k) is a numerator of the cycle producing it and a
     denominator of the cycle consuming it, so the product is beta_sq**c
     times the C(n, k) of every product never consumed, over the C(n, k) of
-    every base state consumed.
+    every base state consumed: of every unused state over every base state.
     """
-    refs, depth, consumed = resolved.refs, resolved.depth, resolved.consumed
-    # The power of C(n, k) left, per size n; only products have a depth.
-    powers = Counter([refs[i].n for i in depth.keys() - consumed])
-    powers.subtract([refs[i].n for i in consumed - depth.keys()])
-    num = beta_sq.numerator ** len(plan.cycles)
-    den = beta_sq.denominator ** len(plan.cycles)
-    for n, power in powers.items():
-        if power > 0:
-            num *= binom(n, plan.k) ** power
-        elif power < 0:
-            den *= binom(n, plan.k) ** -power
+    c = len(norms) - d
+    # How often each C(n, k) is left over, keyed by its value.
+    up, down = Counter(map(norms.__getitem__, unused)), Counter(norms[:d])
+    num, den = beta_sq.numerator ** c, beta_sq.denominator ** c
+    for norm, power in (up - down).items():
+        num *= norm ** power
+    for norm, power in (down - up).items():
+        den *= norm ** power
     return Fraction(num, den)
 
 
@@ -409,8 +403,9 @@ def execute_plan(plan: ProtocolPlan,
     not validate.  Every state of a plan is the unit Z_k(n) on its own id,
     fixed by its size, so the step is derived once per call (see
     `_step_beta_sq`), each cycle is sized by the norms C(n, k) of its three
-    states, and the cumulative probability telescopes (see `_telescoped`).
-    The report's `cycles` build each cycle's result when it is read.
+    states, computed once per state, and the cumulative probability
+    telescopes (see `_telescoped`).  The report's `cycles` build each
+    cycle's result when it is read.
     With an `oracle`, a cycle's outcome is fixed by its cell (n1, n2), so
     each distinct cell is checked once before this returns, on the
     probability its first cycle reports: a cell it reports problems for
@@ -418,28 +413,40 @@ def execute_plan(plan: ProtocolPlan,
     stays unchecked.  Errors name the failing cycle index.
     """
     resolved = _resolve_valid(plan)
-    refs = resolved.refs
+    sizes, depth, left, right = resolved[:4]
+    k, c, d = plan.k, len(left), len(sizes) - len(left)
     # A plan without cycles derives nothing: beta_sq**0 is 1 whatever it is.
-    beta_sq = _step_beta_sq(plan.k) if plan.cycles else Fraction(1)
-    checked = set()
+    beta_sq = _step_beta_sq(k) if c else Fraction(1)
+    # C(n, k) once per state, but a base state no cycle consumes is never
+    # read, and its own can be large: it gets C(k, k) = 1.
+    unused = set(range(len(sizes))).difference(left, right)
+    read = [*sizes]
+    for s in unused.intersection(range(d)):
+        read[s] = k
+    norms = list(map(comb, read, repeat(k)))
+    cycles = _CycleResults(plan, resolved, norms, beta_sq)
     if oracle is not None:
         # Checked before any report is written, so a run whose oracle
         # disagrees writes nothing; only the checked cells are kept.
         first: dict[tuple[int, int], int] = {}  # each cell's first cycle
-        for i, cyc in enumerate(plan.cycles):
-            first.setdefault((refs[cyc.left].n, refs[cyc.right].n), i)
-        unchecked = _CycleResults(plan, refs, beta_sq, frozenset())
+        for i, a, b in zip(range(c), left, right):
+            first.setdefault((sizes[a], sizes[b]), i)
+        checked = set()
         for cell, i in first.items():
-            _, _, _, num, den, _ = unchecked._row(i)
-            problems = oracle(plan.k, *cell, Fraction(num, den))
+            num, den = next(cycles.rows(range(i, i + 1)))[6:8]
+            problems = oracle(k, *cell, Fraction(num, den))
             if problems:
                 raise PlanExecutionError(
                     i, "oracle disagreement: " + "; ".join(problems))
             if problems is not None:
                 checked.add(cell)
-    cycles = _CycleResults(plan, refs, beta_sq, frozenset(checked))
-    return ExecutionReport(cycles, _telescoped(plan, resolved, beta_sq),
-                           _ledger(plan, resolved), resolved.final)
+        cycles._checked = frozenset(checked)
+    final = (StateRef(plan.cycles[-1].produced, k, sizes[-1]) if c
+             else plan.inputs[resolved.final])
+    ins, anc = sum(sizes[:len(plan.inputs)]), sum(sizes[len(plan.inputs):d])
+    ledger = ResourceLedger(ins, anc, 2 * k * c, c, ins + anc - 2 * k * c, max(depth))
+    return ExecutionReport(cycles, _telescoped(norms, unused, d, beta_sq), ledger,
+                           final)
 
 
 def chunk_ranges(count: int) -> list[range]:

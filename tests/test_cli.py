@@ -690,8 +690,10 @@ def test_a_valid_explicit_plan_takes_the_one_test_paths(tmp_path, capsys,
                                                        monkeypatch):
     """On a valid explicit document of 4,000 cycles, `graph` and `run` check
     each array whole and each state and cycle with one test: neither the
-    per-entry parser nor a helper that words violations runs.  One fault
-    sends its array, or its cycle, down the slow path."""
+    per-entry parser nor a helper that words violations runs.  Generated
+    plans, the exact one and 4,000-cycle incremental and exponential ones,
+    take the same whole-array resolve.  One fault sends its array, or its
+    cycle, down the slow path."""
     calls = collections.Counter()
     for module, name in ((zstates.plandoc, "_parse_entry"),
                          (zstates.protocol, "_state_violations"),
@@ -700,11 +702,18 @@ def test_a_valid_explicit_plan_takes_the_one_test_paths(tmp_path, capsys,
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "plan.json"
+    for argv in (("exact", "--k", "2", "--n1", "5", "--n2", "7"),
+                 ("incremental", "--k", "1", "--n-target", "4003"),
+                 ("exponential", "--k", "1", "--n-target", "4003")):
+        path.write_text(run_cli(capsys, "plan", "--mode", *argv)[1])
+        for command in ("graph", "run"):
+            assert run_cli(capsys, command, str(path))[0] == 0
+    assert calls == {}
     plan = gen_incremental_plan(1, 4003)
     doc = json.loads(render_document(PlanDocument(
         k=1, target_n=4003, mode="explicit", inputs=plan.inputs,
         cycles=plan.cycles)))
-    path = tmp_path / "plan.json"
     path.write_text(json.dumps(doc))
     for command in ("graph", "run"):
         assert run_cli(capsys, command, str(path))[0] == 0
@@ -717,6 +726,51 @@ def test_a_valid_explicit_plan_takes_the_one_test_paths(tmp_path, capsys,
     path.write_text(json.dumps(doc))
     assert run_cli(capsys, "graph", str(path))[0] == 2
     assert calls["_parse_entry"] == len(doc["inputs"])
+
+
+def counting_comb(monkeypatch):
+    """The (n, k) of each C(n, k) that `protocol` computes, in call order."""
+    calls = []
+
+    def comb(n, k, _original=zstates.protocol.comb):
+        calls.append((n, k))
+        return _original(n, k)
+    monkeypatch.setattr(zstates.protocol, "comb", comb)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["incremental", "exponential"])
+def test_a_run_computes_each_norm_once_per_state(tmp_path, capsys, monkeypatch,
+                                                 mode):
+    """A 4,000-cycle run computes C(n, k) once per state, and once more for
+    the step's C(2k, k): never three times a cycle, and not again for the
+    telescoped cumulative or for another writer pass."""
+    path = tmp_path / "plan.json"
+    path.write_text(run_cli(capsys, "plan", "--mode", mode, "--k", "1",
+                            "--n-target", "4003")[1])
+    plan = document_to_plan(parse_document(path.read_text()))
+    states = len(plan.inputs) + len(plan.ancillas) + len(plan.cycles)
+    assert len(plan.cycles) == 4000
+    calls = counting_comb(monkeypatch)
+    for report in ("text", "json"):
+        assert run_cli(capsys, "run", str(path), "--report", report)[0] == 0
+        assert len(calls) == states + 1
+        assert calls.count((2, 1)) == 1  # C(2k, k): only the step is that small
+        calls.clear()
+
+
+def test_an_idle_base_state_gets_no_norm(monkeypatch):
+    """A base state no cycle consumes is never read, so its C(n, k), which
+    can be large, is never computed; the ledger still counts its qubits."""
+    n = 10 ** 300
+    plan = ProtocolPlan(2, (StateRef("a", 2, 5), StateRef("b", 2, 6)),
+                        (StateRef("idle", 2, n),), (Cycle("a", "b", "out"),), 7)
+    calls = counting_comb(monkeypatch)
+    report = execute_plan(plan)
+    assert [call for call in calls if call[0] == n] == []
+    assert report.ledger.ancilla_qubits == n
+    assert report.cumulative_success == (
+        execute_plan(plan._replace(ancillas=())).cumulative_success)
 
 
 def test_verify_small_bounds(capsys):

@@ -1,5 +1,6 @@
 """Plan validation, execution, and the three schedule generators."""
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -18,6 +19,7 @@ from zstates import (
     PlanExecutionError,
     ProtocolPlan,
     StateRef,
+    binom,
     critical_path,
     distill_step,
     execute_plan,
@@ -429,16 +431,18 @@ def test_random_plan_forests(plan):
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(plan_forests())
 def test_rows_match_the_cycle_results(plan):
-    """The rows the writers read hold each cycle's three states, by the
-    plan's ids, and its probability as the reduced num/den of the
-    `CycleResult` indexing builds, with den > 0."""
+    """The rows the writers read hold each cycle's ids, as the plan names
+    them, the sizes of its three states, and its probability as the
+    reduced num/den of the `CycleResult` indexing builds, with den > 0."""
     cycles = execute_plan(plan, check_distillation_cell).cycles
     rows = list(cycles.rows(range(len(cycles))))
     assert len(rows) == len(plan.cycles)
+    k = plan.k
     for row, cyc, r in zip(rows, plan.cycles, cycles):
-        left, right, produced, num, den, checked = row
-        assert (left.id, right.id, produced.id) == cyc
-        assert (left, right, produced, Fraction(num, den), checked) == r
+        left, right, produced, n1, n2, n, num, den, checked = row
+        assert (left, right, produced) == cyc
+        assert (StateRef(left, k, n1), StateRef(right, k, n2),
+                StateRef(produced, k, n), Fraction(num, den), checked) == r
         assert gcd(num, den) == 1 and den > 0
 
 
@@ -564,16 +568,139 @@ def with_plan_fault(plan, fault, pick):
     return plan._replace(cycles=tuple(cycles))
 
 
+def by_id(plan, resolved):
+    """`_resolve`'s columns, by position, mapped back to the fields the
+    per-side checks return: refs, depth and consumed by id, the final
+    state and the violations."""
+    sizes, depth, left, right, final, violations = resolved
+    declared = (*plan.inputs, *plan.ancillas)
+    d, c = len(declared), len(plan.cycles)
+    assert (len(sizes), len(depth), len(left), len(right)) == (d + c, d + c, c, c)
+    assert [n is None for n in sizes] == [h is None for h in depth]
+    states = [*declared, *(StateRef(cyc.produced, plan.k, n)
+                           for cyc, n in zip(plan.cycles, sizes[d:]))]
+    refs, depths = {}, {}
+    for s, ref in enumerate(states):
+        if sizes[s] is not None:  # a product whose operands both resolved
+            refs[ref.id] = ref
+            if s >= d:
+                depths[ref.id] = depth[s]
+    consumed = {states[s].id for s in (*left, *right) if s is not None}
+    return (refs, depths, consumed, None if final is None else states[final],
+            violations)
+
+
 @settings(derandomize=True, deadline=None, max_examples=400, database=None)
 @given(plan_forests(), st.sampled_from(PLAN_FAULTS), st.data())
 def test_one_test_resolve_matches_the_per_side_checks(plan, fault, data):
     """With one fault in a valid plan, `_resolve` finds what the per-side
-    checks found: the same violations in the same order, and the same
-    states, depths, consumed ids and final state."""
+    checks found: the same violations in the same order, and, read back by
+    id from its columns, the same states, depths, consumed ids and final
+    state."""
     plan = with_plan_fault(plan, fault, lambda seq: data.draw(st.sampled_from(seq)))
     expected = per_side_resolve(plan)
-    assert tuple(_resolve(plan)) == expected
+    assert by_id(plan, _resolve(plan)) == expected
     assert validate_plan(plan) == expected[-1]
+
+
+def dict_critical_path(plan):
+    """`critical_path` as it was written over the per-side checks' refs and
+    depths by id, with a producer map from product id to cycle."""
+    refs, depth, _, final, _ = per_side_resolve(plan)
+    producer = {cyc.produced: cyc for cyc in plan.cycles}
+    state = max([final, *(refs[i] for i in depth)],
+                key=lambda ref: depth.get(ref.id, 0))
+    path = [state.n]
+    while state.id in producer:
+        cyc = producer[state.id]
+        pick = (cyc.left if depth.get(cyc.left, 0) >= depth.get(cyc.right, 0)
+                else cyc.right)
+        state = refs[pick]
+        path.append(state.n)
+    path.reverse()
+    return path
+
+
+def dict_ledger(plan):
+    """The ledger as it was summed from the refs and the depths by id."""
+    _, depth, _, _, _ = per_side_resolve(plan)
+    ins, ancillas = sum(r.n for r in plan.inputs), sum(r.n for r in plan.ancillas)
+    used = 2 * plan.k * len(plan.cycles)
+    return (ins, ancillas, used, len(plan.cycles), ins + ancillas - used,
+            max(depth.values(), default=0))
+
+
+def dict_telescoped(plan, beta_sq):
+    """`_telescoped` as it was written: the powers of C(n, k) per size, from
+    the id-set differences of products and consumed ids."""
+    refs, depth, consumed, _, _ = per_side_resolve(plan)
+    powers = Counter([refs[i].n for i in depth.keys() - consumed])
+    powers.subtract([refs[i].n for i in consumed - depth.keys()])
+    num = beta_sq.numerator ** len(plan.cycles)
+    den = beta_sq.denominator ** len(plan.cycles)
+    for n, power in powers.items():
+        if power > 0:
+            num *= binom(n, plan.k) ** power
+        elif power < 0:
+            den *= binom(n, plan.k) ** -power
+    return Fraction(num, den)
+
+
+def dict_row(plan, refs, beta_sq, i):
+    """`_CycleResults._row` as it was written: cycle i's three states looked
+    up by id, three C(n, k), and the probability reduced."""
+    cyc, k = plan.cycles[i], plan.k
+    left, right, produced = refs[cyc.left], refs[cyc.right], refs[cyc.produced]
+    num = beta_sq.numerator * binom(produced.n, k)
+    den = beta_sq.denominator * binom(left.n, k) * binom(right.n, k)
+    g = gcd(num, den)
+    return CycleResult(left, right, produced, Fraction(num // g, den // g))
+
+
+GENERATED = [pytest.param(plan, id=f"{name}-k{k}") for k in range(1, 6)
+             for name, plan in (("exact", gen_exact_plan(k, 2 * k + 1, 3 * k)),
+                                ("incremental", gen_incremental_plan(k, 2 * k + 40)),
+                                ("exponential", gen_exponential_plan(k, 2 * k + 70)))]
+# No cycles: the final state is the first input of the target's size.
+GENERATED.append(pytest.param(ProtocolPlan(
+    2, (StateRef("a", 2, 5), StateRef("b", 2, 7), StateRef("c", 2, 7)),
+    (StateRef("d", 2, 7),), (), 7), id="no-cycles"))
+
+
+def assert_columns_match_the_dict_readers(plan):
+    report = execute_plan(plan)
+    refs, _, _, final, _ = per_side_resolve(plan)
+    assert report.final == final
+    beta_sq = zstates.protocol._step_beta_sq(plan.k) if plan.cycles else Fraction(1)
+    assert critical_path(plan) == dict_critical_path(plan)
+    assert tuple(report.ledger) == dict_ledger(plan)
+    assert report.cumulative_success == dict_telescoped(plan, beta_sq)
+    expected = [dict_row(plan, refs, beta_sq, i) for i in range(len(plan.cycles))]
+    assert list(report.cycles) == expected
+    k, cycles = plan.k, report.cycles
+    for row, want in zip(cycles.rows(range(len(cycles))), expected):
+        left, right, produced, n1, n2, n, num, den, _ = row
+        assert (StateRef(left, k, n1), StateRef(right, k, n2),
+                StateRef(produced, k, n), Fraction(num, den)) == want[:4]
+    # A negative index reads cycle C + i, never the state at D + i.
+    for i in range(-len(expected), 0):
+        assert cycles[i] == expected[i]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(plan_forests())
+def test_columns_match_the_dict_readers_on_plan_forests(plan):
+    """The final state, critical path, ledger, cumulative probability and
+    rows, read from the columns by position, equal what the readers by id
+    computed; a negative index reads a cycle from the end."""
+    assert_columns_match_the_dict_readers(plan)
+
+
+@pytest.mark.parametrize("plan", GENERATED)
+def test_columns_match_the_dict_readers_on_generated_plans(plan):
+    """The same on each generator's plans at k 1-5, and on a plan without
+    cycles."""
+    assert_columns_match_the_dict_readers(plan)
 
 
 def test_cycle_results_index_from_either_end():

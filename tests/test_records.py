@@ -47,7 +47,7 @@ def test_records_are_immutable_values(name):
     assert type(a).__name__ == name
     assert a is not b and a == b
     assert a == tuple(getattr(a, field) for field in a._fields)
-    if name != "_Resolved":  # its lookup tables are dicts, so it has no hash
+    if name != "_Resolved":  # its columns are lists, so it has no hash
         assert hash(a) == hash(b)
     with pytest.raises(AttributeError):
         setattr(a, a._fields[0], getattr(b, b._fields[-1]))

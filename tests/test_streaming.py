@@ -56,19 +56,21 @@ def joined_text(plan, report):
 
 
 def joined_dot(plan):
-    """The DOT source as one string, as it was built before it streamed."""
-    refs = _resolve_valid(plan).refs
+    """The DOT source as one string, as it was built before it streamed;
+    a product's size is read from the resolved columns, at its position."""
+    bases = (*plan.inputs, *plan.ancillas)
+    sizes = _resolve_valid(plan).sizes
     node = {i: _quote("~" + i if i.startswith(("proj", "~")) else i)
-            for i in refs}
+            for i in [*(r.id for r in bases), *(c.produced for c in plan.cycles)]}
     k = int_str(plan.k)
     consume = _quote(f"consume {int_str(2 * plan.k)}")
     lines = ["digraph plan {", "  rankdir=LR;"]
-    for ref in (*plan.inputs, *plan.ancillas):
+    for ref in bases:
         lines.append(f"  {node[ref.id]} [shape=box, style=rounded, "
                      f"label={_quote(f'Z_{k}({int_str(ref.n)})')}];")
     for i, cyc in enumerate(plan.cycles):
         proj = _quote(f"proj{i}")
-        out = refs[cyc.produced]
+        out = StateRef(cyc.produced, plan.k, sizes[len(bases) + i])
         lines.append(f"  {proj} [shape=rarrow, label={consume}];")
         lines.append(f"  {node[out.id]} [shape=box, style=rounded, "
                      f"label={_quote(f'Z_{k}({int_str(out.n)})')}];")
