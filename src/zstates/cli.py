@@ -135,6 +135,8 @@ _JSON_CYCLE = ('    {\n      "index": %d,\n      "left": %s,\n      "right": %s,
                '        "n": %d\n      },\n      "probability": {\n'
                '        "num": %d,\n        "den": %d\n      },\n'
                '      "oracle_checked": %s\n    }')
+# The same, for ids that JSON writes as they are.
+_JSON_PLAIN = _JSON_CYCLE.replace(": %s,", ': "%s",')
 
 
 def report_to_json(plan: ProtocolPlan, report: ExecutionReport,
@@ -153,12 +155,21 @@ def report_to_json(plan: ProtocolPlan, report: ExecutionReport,
     chunks = [f'{{\n  "schema_version": 1,\n  "k": {plan.k},\n  "final": {{\n'
               f'    "id": {_quote(final.id)},\n    "k": {final.k},\n'
               f'    "n": {final.n}\n  }},\n  "cycles": ']
+    # Ids are tested all at once: only a plan with an id JSON escapes (a
+    # quote, a backslash, a control or non-ASCII character) quotes each.
+    ids = cycles._resolved.ids
+    joined = "".join(ids)
+    if (joined.isascii() and joined.isprintable() and '"' not in joined
+            and "\\" not in joined):
+        template, names = _JSON_PLAIN, ids
+    else:
+        template, names = _JSON_CYCLE, list(map(_quote, ids))
     for part in chunk_ranges(len(cycles)):
         chunks += [",\n" if part.start else "[\n", ",\n".join([
-            _JSON_CYCLE % (i, _quote(left), _quote(right), _quote(produced), plan.k,
-                           n, num, den, "true" if checked else "false")
+            template % (i, left, right, produced, plan.k, n, num, den,
+                        "true" if checked else "false")
             for i, (left, right, produced, _, _, n, num, den, checked)
-            in zip(part, cycles.rows(part))])]
+            in zip(part, cycles.rows(part, names))])]
     chunks.append(("\n  ],\n" if len(cycles) else "[],\n") + tail)
     out.writelines(chunks)
 

@@ -14,7 +14,6 @@ other ids never start with `~`, and the prefix keeps distinct ids distinct.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import TextIO
 
 from .combinatorics import int_str
@@ -37,9 +36,7 @@ def plan_to_dot(plan: ProtocolPlan, out: TextIO) -> None:
     """Write DOT source for a plan to `out`, a chunk of states or cycles at a
     time; raises InvalidPlanError, with nothing written, if it does not
     validate."""
-    sizes, _, left, right = _resolve_valid(plan)[:4]
-    bases, cycles = (*plan.inputs, *plan.ancillas), plan.cycles
-    ids = [*map(itemgetter(0), bases), *map(itemgetter(2), cycles)]
+    ids, sizes, _, left, right = _resolve_valid(plan)[:5]
     # Ids are tested all at once: only one holding a quote or a backslash
     # needs escapes, and only one starting with `proj` or `~` a prefix.
     joined = "\0" + "\0".join(ids)
@@ -48,11 +45,11 @@ def plan_to_dot(plan: ProtocolPlan, out: TextIO) -> None:
     else:
         node = list(map('"%s"'.__mod__, ids))
     k = int_str(plan.k)  # a valid plan's states all have the plan's k
-    consume, d = int_str(2 * plan.k), len(bases)
+    consume, d = int_str(2 * plan.k), len(sizes) - len(left)
     out.write("digraph plan {\n  rankdir=LR;\n")
     for part in chunk_ranges(d):
         out.write("".join([_STATE % (node[s], k, int_str(sizes[s])) for s in part]))
-    for part in chunk_ranges(len(cycles)):
+    for part in chunk_ranges(len(left)):
         start, stop = part.start, part.stop
         out.write("".join([
             _CYCLE % (i, consume, node[s], k, int_str(sizes[s]), node[a], i,

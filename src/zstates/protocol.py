@@ -12,13 +12,17 @@ enforce single consumption), so the probability that a whole plan succeeds
 is the product of its per-cycle probabilities, a product that telescopes.
 A report's summary comes from the resolve pass and the one step; its
 cycle results are built when read, so a report holds no per-cycle record.
+A generated plan holds no per-cycle record either: its `inputs` and
+`cycles` are views over its columns (the ids, and each cycle's operand
+positions) that build a `StateRef` or a `Cycle` when read, and the resolve
+pass takes its positions from those columns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from math import comb, gcd
 from operator import itemgetter, lt
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -109,56 +113,102 @@ class ResourceLedger(NamedTuple):
     depth: int
 
 
-class _CycleResults:
-    """A report's cycle results, each computed when it is read from the
-    resolved columns, the states' C(n, k) and the step's beta_sq; `checked`
-    holds the cells (n1, n2) the oracle replayed.  The writers read plain
-    rows (`rows`), and indexing builds a `CycleResult` from the same row.
-    It has a length, can be indexed, sliced (into a tuple) and iterated any
-    number of times, and equals another report's when their records do."""
+class _View:
+    """A read-only sequence of records, each built by `_item` when it is
+    read.  It has a length, can be indexed from either end, sliced (into a
+    tuple) and iterated any number of times, and compares and hashes as
+    the tuple of its records."""
 
-    __slots__ = ("_plan", "_resolved", "_norms", "_num", "_den", "_checked")
-
-    def __init__(self, plan: ProtocolPlan, resolved: _Resolved,
-                 norms: list[int], beta_sq: Fraction) -> None:
-        self._plan, self._resolved, self._norms = plan, resolved, norms
-        self._num, self._den = beta_sq.numerator, beta_sq.denominator
-        self._checked: frozenset = frozenset()
-
-    def __len__(self) -> int:
-        return len(self._plan.cycles)
-
-    def rows(self, indexes: range) -> Iterator[tuple]:
-        """Each cycle's row, for the consecutive `indexes`: (left, right, produced,
-        n_left, n_right, n_produced, num, den, checked), num/den reduced, den > 0."""
-        start, stop = indexes.start, indexes.stop
-        sizes, _, left, right = self._resolved[:4]
-        norms, num, den, checked = self._norms, self._num, self._den, self._checked
-        for (left_id, right_id, produced), a, b, s in zip(
-                self._plan.cycles[start:stop], left[start:stop], right[start:stop],
-                range(len(sizes) - len(left) + start, len(sizes))):
-            p, q = num * norms[s], den * norms[a] * norms[b]
-            g, n1, n2 = gcd(p, q), sizes[a], sizes[b]
-            yield (left_id, right_id, produced, n1, n2, sizes[s], p // g, q // g,
-                   (n1, n2) in checked)
+    __slots__ = ()
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        i = range(len(self))[i]  # negative from the end; IndexError ends iter()
-        left, right, produced, n1, n2, n, num, den, checked = next(
-            self.rows(range(i, i + 1)))
-        k = self._plan.k
-        return CycleResult(StateRef(left, k, n1), StateRef(right, k, n2),
-                           StateRef(produced, k, n), Fraction(num, den), checked)
+            return tuple(map(self._item, range(len(self))[i]))
+        return self._item(range(len(self))[i])  # negative from the end
+
+    def __iter__(self) -> Iterator:
+        return map(self._item, range(len(self)))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _CycleResults):
+        if not isinstance(other, (tuple, _View)):
             return NotImplemented
         return tuple(self) == tuple(other)
 
     def __hash__(self) -> int:
         return hash(tuple(self))
+
+
+class _Inputs(_View):
+    """A generated plan's base states: Z_k(n) on each of the first `count`
+    ids of its states."""
+
+    __slots__ = ("_ids", "_k", "_n", "_count")
+
+    def __init__(self, ids: list, k: int, n: int, count: int) -> None:
+        self._ids, self._k, self._n, self._count = ids, k, n, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _item(self, i: int) -> StateRef:
+        return StateRef(self._ids[i], self._k, self._n)
+
+
+class _Cycles(_View):
+    """A generated plan's cycles by state position (the base states, then
+    cycle i's product at D + i): cycle i joins `left[i]` and `right[i]`."""
+
+    __slots__ = ("_ids", "_left", "_right")
+
+    def __init__(self, ids: list, left: list, right: list) -> None:
+        self._ids, self._left, self._right = ids, left, right
+
+    def __len__(self) -> int:
+        return len(self._left)
+
+    def _item(self, i: int) -> Cycle:
+        ids, left = self._ids, self._left
+        return Cycle(ids[left[i]], ids[self._right[i]], ids[len(ids) - len(left) + i])
+
+
+class _CycleResults(_View):
+    """A report's cycle results, each computed when it is read from the
+    resolved columns, the states' C(n, k) and the step's beta_sq; `checked`
+    holds the cells (n1, n2) the oracle replayed.  The writers read plain
+    rows (`rows`), and indexing builds a `CycleResult` from the same row."""
+
+    __slots__ = ("_k", "_resolved", "_norms", "_num", "_den", "_checked")
+
+    def __init__(self, k: int, resolved: _Resolved, norms: list[int],
+                 beta_sq: Fraction) -> None:
+        self._k, self._resolved, self._norms = k, resolved, norms
+        self._num, self._den = beta_sq.numerator, beta_sq.denominator
+        self._checked: frozenset = frozenset()
+
+    def __len__(self) -> int:
+        return len(self._resolved.left)
+
+    def rows(self, indexes: range, names: Optional[list] = None) -> Iterator[tuple]:
+        """Each cycle's row, for the consecutive `indexes`: (left, right, produced,
+        n_left, n_right, n_produced, num, den, checked), num/den reduced, den > 0;
+        its states are named from `names` by position, the states' ids if None."""
+        start, stop = indexes.start, indexes.stop
+        sizes, _, left, right = self._resolved[1:5]
+        ids = self._resolved.ids if names is None else names
+        norms, num, den, checked = self._norms, self._num, self._den, self._checked
+        for a, b, s in zip(left[start:stop], right[start:stop],
+                           range(len(sizes) - len(left) + start, len(sizes))):
+            p, q = num * norms[s], den * norms[a] * norms[b]
+            g, n1, n2 = gcd(p, q), sizes[a], sizes[b]
+            yield (ids[a], ids[b], ids[s], n1, n2, sizes[s], p // g, q // g,
+                   (n1, n2) in checked)
+
+    def _item(self, i: int) -> CycleResult:
+        left, right, produced, n1, n2, n, num, den, checked = next(
+            self.rows(range(i, i + 1)))
+        k = self._k
+        return CycleResult(StateRef(left, k, n1), StateRef(right, k, n2),
+                           StateRef(produced, k, n), Fraction(num, den), checked)
 
 
 class ExecutionReport(NamedTuple):
@@ -183,12 +233,13 @@ class PlanExecutionError(RuntimeError):
 
 
 class _Resolved(NamedTuple):
-    """Each state's size and dependency depth by position (the declared
+    """Each state's id, size and dependency depth by position (the declared
     states in order, then cycle i's product at D + i, D the number
     declared), each cycle's operand positions and the final state's.  In a
     plan that does not validate, an operand naming no state has position
     None, as have the size and depth of a product of such an operand."""
 
+    ids: list
     sizes: list
     depth: list
     left: list
@@ -262,33 +313,41 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
         v.append(f"plan k must be >= 1, got {int_str(k)}")
     elif k > MAX_K:
         v.append(f"plan k must be at most {MAX_K}, got {int_str(k)}")
-    declared, cycles = (*plan.inputs, *plan.ancillas), plan.cycles
-    d, n, two_k = len(declared), len(declared) + len(cycles), 2 * k
-    index = dict(zip(chain(map(itemgetter(0), declared),
-                           map(itemgetter(2), cycles)), range(n)))
-    distinct = len(index) == n and "" not in index
-    sizes, depth = [*map(itemgetter(2), declared)], [0] * d
-    least = min(sizes, default=k)
-    if not (distinct and {*map(itemgetter(1), declared)} <= {k}
-            and least >= max(k, 1)):
+    inputs, cycles = plan.inputs, plan.cycles
+    if (type(inputs) is _Inputs and type(cycles) is _Cycles
+            and inputs._ids is cycles._ids and not plan.ancillas):
+        # A generated plan: its columns give every id and operand position.
+        declared, ids, left, right = inputs, cycles._ids, cycles._left, cycles._right
+        named, ks, sizes = {*ids}, {inputs._k}, [inputs._n] * len(inputs)
+    else:
+        declared = (*inputs, *plan.ancillas)
+        ids = [*map(itemgetter(0), declared), *map(itemgetter(2), cycles)]
+        named = dict(zip(ids, range(len(ids))))
+        # An id no state has gets position n, which no cycle's position passes.
+        left = [*map(named.get, map(itemgetter(0), cycles), repeat(len(ids)))]
+        right = [*map(named.get, map(itemgetter(1), cycles), repeat(len(ids)))]
+        ks, sizes = {*map(itemgetter(1), declared)}, [*map(itemgetter(2), declared)]
+    d, n, c, two_k = len(declared), len(ids), len(left), 2 * k
+    distinct = len(named) == n and "" not in named
+    depth, least = [0] * d, min(sizes, default=k)
+    if not (distinct and ks <= {k} and least >= max(k, 1)):
         v += _state_violations(plan)
-    # An id no state has gets position n, which no cycle's position passes.
-    left = [*map(index.get, map(itemgetter(0), cycles), repeat(n))]
-    right = [*map(index.get, map(itemgetter(1), cycles), repeat(n))]
     valid = (distinct and all(map(lt, left, range(d, n)))
-             and all(map(lt, right, range(d, n)))
-             and len({*left, *right}) == 2 * len(cycles))
+             and all(map(lt, right, range(d, n))) and len({*left, *right}) == 2 * c)
     if valid:
         for a, b in zip(left, right):
             sizes.append(sizes[a] + sizes[b] - two_k)
-            depth.append(max(depth[a], depth[b]) + 1)
+            da, db = depth[a], depth[b]
+            depth.append((da if da > db else db) + 1)  # `max` costs a call
         # With no base state below 2k, no product is either.
         valid = least >= two_k or min(map(sizes.__getitem__, left + right),
                                       default=two_k) >= two_k
     if not valid:
-        sizes[d:], depth[d:] = [None] * len(cycles), [None] * len(cycles)
+        sizes[d:], depth[d:] = [None] * c, [None] * c
+        # New lists: the loop must not write into a generated plan's own.
+        left, right = [None] * c, [None] * c
         # A repeated id keeps the place of its first and the state of its last.
-        index = dict(zip(map(itemgetter(0), declared), range(d)))
+        index = dict(zip(ids, range(d)))
         unresolved, consumed = set(), set()
         for i, (lid, rid, pid) in enumerate(cycles):
             a, b = left[i], right[i] = index.get(lid), index.get(rid)
@@ -316,7 +375,7 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
                       if (r.k, r.n) == (k, plan.target_n)), None)
         if final is None:
             v.append("plan with no cycles has no input matching the target")
-    return _Resolved(sizes, depth, left, right, final, v)
+    return _Resolved(ids, sizes, depth, left, right, final, v)
 
 
 def _resolve_valid(plan: ProtocolPlan) -> _Resolved:
@@ -344,7 +403,7 @@ def critical_path(plan: ProtocolPlan) -> list[int]:
     not depend on lies deeper; its length is then still the ledger's depth
     plus one.  Raises InvalidPlanError for a plan that does not validate.
     """
-    sizes, depth, left, right, final, _ = _resolve_valid(plan)
+    _, sizes, depth, left, right, final, _ = _resolve_valid(plan)
     d = len(sizes) - len(left)  # state s >= d is cycle s - d's product
     # max keeps the first of equals: the final state on a tie.
     s = max([final, *range(d, len(sizes))], key=depth.__getitem__)
@@ -413,7 +472,7 @@ def execute_plan(plan: ProtocolPlan,
     stays unchecked.  Errors name the failing cycle index.
     """
     resolved = _resolve_valid(plan)
-    sizes, depth, left, right = resolved[:4]
+    ids, sizes, depth, left, right, final = resolved[:6]
     k, c, d = plan.k, len(left), len(sizes) - len(left)
     # A plan without cycles derives nothing: beta_sq**0 is 1 whatever it is.
     beta_sq = _step_beta_sq(k) if c else Fraction(1)
@@ -424,7 +483,7 @@ def execute_plan(plan: ProtocolPlan,
     for s in unused.intersection(range(d)):
         read[s] = k
     norms = list(map(comb, read, repeat(k)))
-    cycles = _CycleResults(plan, resolved, norms, beta_sq)
+    cycles = _CycleResults(k, resolved, norms, beta_sq)
     if oracle is not None:
         # Checked before any report is written, so a run whose oracle
         # disagrees writes nothing; only the checked cells are kept.
@@ -441,12 +500,10 @@ def execute_plan(plan: ProtocolPlan,
             if problems is not None:
                 checked.add(cell)
         cycles._checked = frozenset(checked)
-    final = (StateRef(plan.cycles[-1].produced, k, sizes[-1]) if c
-             else plan.inputs[resolved.final])
     ins, anc = sum(sizes[:len(plan.inputs)]), sum(sizes[len(plan.inputs):d])
     ledger = ResourceLedger(ins, anc, 2 * k * c, c, ins + anc - 2 * k * c, max(depth))
     return ExecutionReport(cycles, _telescoped(norms, unused, d, beta_sq), ledger,
-                           final)
+                           StateRef(ids[final], k, sizes[final]))
 
 
 def chunk_ranges(count: int) -> list[range]:
@@ -489,30 +546,30 @@ def _grown_plan(k: int, n_target: int, doubling: bool) -> ProtocolPlan:
     """Reach Z_k(n_target) from Z_k(2k+1) base states: with `doubling`, a
     balanced tree first builds the largest power-of-two span that fits;
     the rest of the span is closed by +1 cycles, one fresh base state each.
-    A span of n_target - 2k takes span - 1 cycles either way."""
+    A span of n_target - 2k takes span - 1 cycles either way.  States are
+    numbered as they are made, the tree's in post-order: base state j is
+    `base{j+1}` at position j, cycle i's product `s{i+1}` at span + i."""
     base_n = 2 * k + 1
     _check_generator_domain(k, n_target, "n_target", base_n)
     span = n_target - 2 * k
     check_cycle_count(span - 1)
-    bases: list[StateRef] = []
-    cycles: list[Cycle] = []
-
-    def fresh_base() -> str:
-        bases.append(StateRef(f"base{len(bases) + 1}", k, base_n))
-        return bases[-1].id
-
-    def join(left: str, right: str) -> str:
-        cycles.append(Cycle(left, right, f"s{len(cycles) + 1}"))
-        return cycles[-1].produced
-
-    def build(s: int) -> str:
-        return fresh_base() if s == 1 else join(build(s // 2), build(s // 2))
-
     top = 1 << (span.bit_length() - 1) if doubling else 1
-    current = build(top)
-    for _ in range(span - top):
-        current = join(current, fresh_base())
-    return ProtocolPlan(k, tuple(bases), (), tuple(cycles), n_target)
+    # The tree of 2s leaves is the tree of s, its copy on the next s base
+    # states and s - 1 products (a base state's position moves by s, a
+    # product's by s - 1), and the cycle joining the two tops.
+    left, right, root, s = [], [], 0, 1
+    while s < top:
+        left += [p + s - (p >= span) for p in left]
+        right += [p + s - (p >= span) for p in right]
+        left.append(root)
+        right.append(root + s - (root >= span))
+        root, s = span + len(left) - 1, 2 * s
+    if top < span:
+        left += [root, *range(span + top - 1, 2 * span - 2)]
+        right += range(top, span)
+    ids = [f"base{j}" for j in range(1, span + 1)] + [f"s{i}" for i in range(1, span)]
+    return ProtocolPlan(k, _Inputs(ids, k, base_n, span), (),
+                        _Cycles(ids, left, right), n_target)
 
 
 def gen_incremental_plan(k: int, n_target: int) -> ProtocolPlan:

@@ -236,6 +236,21 @@ def test_json_report_bytes_on_hostile_ids(plan, with_oracle):
                                check_distillation_cell if with_oracle else None)
 
 
+@pytest.mark.parametrize("mark", ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028",
+                                  "é", "\U0001d11e", " ", "~", "'"])
+def test_json_report_bytes_with_one_id_to_escape(mark):
+    """Ids are written as they are only when no id of the plan needs an
+    escape: one id holding `mark`, at a base state, a middle product or the
+    final one, among plain ids, leaves every id written as `json` writes it."""
+    plan = gen_exponential_plan(1, 12)
+    for old in ("base1", "s3", "s9"):
+        def name(i, old=old):
+            return i + mark if i == old else i
+        assert_json_report_matches(plan._replace(
+            inputs=tuple(r._replace(id=name(r.id)) for r in plan.inputs),
+            cycles=tuple(Cycle(*map(name, c)) for c in plan.cycles)))
+
+
 @pytest.mark.parametrize("mode, extra, final", [
     ("exact", ("--n1", "5", "--n2", "6"), "Z_2(11)"),
     ("incremental", ("--n-target", "8",), "Z_2(8)"),
@@ -756,6 +771,35 @@ def test_a_run_computes_each_norm_once_per_state(tmp_path, capsys, monkeypatch,
         assert run_cli(capsys, "run", str(path), "--report", report)[0] == 0
         assert len(calls) == states + 1
         assert calls.count((2, 1)) == 1  # C(2k, k): only the step is that small
+        calls.clear()
+
+
+def counting_records(monkeypatch):
+    """How many `Cycle`s and `StateRef`s `protocol` builds, by record name."""
+    calls = collections.Counter()
+    for name in ("Cycle", "StateRef"):
+        def record(*fields, _name=name, _record=getattr(zstates.protocol, name)):
+            calls[_name] += 1
+            return _record(*fields)
+        monkeypatch.setattr(zstates.protocol, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["incremental", "exponential"])
+def test_a_generated_plan_is_run_and_drawn_from_its_columns(tmp_path, capsys,
+                                                            monkeypatch, mode):
+    """A 4,000-cycle generated plan is built, resolved, reported and drawn
+    with no `Cycle` built, and with one `StateRef`, the report's final
+    state, per run."""
+    path = tmp_path / "plan.json"
+    path.write_text(run_cli(capsys, "plan", "--mode", mode, "--k", "1",
+                            "--n-target", "4003")[1])
+    calls = counting_records(monkeypatch)
+    for argv, built in ((("run",), {"StateRef": 1}),
+                        (("run", "--report", "json"), {"StateRef": 1}),
+                        (("graph",), {})):
+        assert run_cli(capsys, argv[0], str(path), *argv[1:])[0] == 0
+        assert calls == built
         calls.clear()
 
 

@@ -571,10 +571,12 @@ def with_plan_fault(plan, fault, pick):
 def by_id(plan, resolved):
     """`_resolve`'s columns, by position, mapped back to the fields the
     per-side checks return: refs, depth and consumed by id, the final
-    state and the violations."""
-    sizes, depth, left, right, final, violations = resolved
+    state and the violations.  Its ids are the declared ids, then the
+    produced ids."""
+    ids, sizes, depth, left, right, final, violations = resolved
     declared = (*plan.inputs, *plan.ancillas)
     d, c = len(declared), len(plan.cycles)
+    assert ids == [r.id for r in declared] + [cyc.produced for cyc in plan.cycles]
     assert (len(sizes), len(depth), len(left), len(right)) == (d + c, d + c, c, c)
     assert [n is None for n in sizes] == [h is None for h in depth]
     states = [*declared, *(StateRef(cyc.produced, plan.k, n)
@@ -821,6 +823,100 @@ def test_generators_refuse_plans_past_the_cycle_limit(generate, monkeypatch):
     assert len(generate(1, 8).cycles) == 5
     with pytest.raises(ValueError, match="6 cycles, more than the limit of 5"):
         generate(1, 9)
+
+
+def closure_grown_plan(k, n_target, doubling):
+    """`_grown_plan` as it was written before its columns: closures that
+    build a `StateRef` per base state and a `Cycle` per cycle, recursing
+    over the doubling tree; its plan has tuple fields."""
+    base_n, span = 2 * k + 1, n_target - 2 * k
+    bases, cycles = [], []
+
+    def fresh_base():
+        bases.append(StateRef(f"base{len(bases) + 1}", k, base_n))
+        return bases[-1].id
+
+    def join(left, right):
+        cycles.append(Cycle(left, right, f"s{len(cycles) + 1}"))
+        return cycles[-1].produced
+
+    def build(s):
+        return fresh_base() if s == 1 else join(build(s // 2), build(s // 2))
+
+    top = 1 << (span.bit_length() - 1) if doubling else 1
+    current = build(top)
+    for _ in range(span - top):
+        current = join(current, fresh_base())
+    return ProtocolPlan(k, tuple(bases), (), tuple(cycles), n_target)
+
+
+SPANS = [*range(1, 71), *(2 ** m + d for m in range(7, 13) for d in (-1, 0, 1))]
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("doubling", [False, True])
+def test_generated_plans_match_the_closure_generator(k, doubling):
+    """Each schedule's plan, at spans 1-70 and around powers of two up to
+    4,097, holds the states and cycles the closures built, equals and
+    hashes as their plan in both directions, and resolves to the same
+    columns."""
+    generate = gen_exponential_plan if doubling else gen_incremental_plan
+    for span in SPANS:
+        plan = generate(k, 2 * k + span)
+        twin = closure_grown_plan(k, 2 * k + span, doubling)
+        assert tuple(plan.inputs) == twin.inputs
+        assert tuple(plan.cycles) == twin.cycles
+        assert plan == twin and twin == plan and hash(plan) == hash(twin)
+        assert _resolve(plan) == _resolve(twin)
+
+
+def tuple_twin(plan):
+    """The plan with every state and cycle field a tuple."""
+    return plan._replace(inputs=tuple(plan.inputs), ancillas=tuple(plan.ancillas),
+                         cycles=tuple(plan.cycles))
+
+
+def assert_resolves_as_its_tuple_twin(plan):
+    resolved = _resolve(plan)
+    assert resolved == _resolve(tuple_twin(plan))
+    assert by_id(plan, resolved) == per_side_resolve(plan)
+
+
+@pytest.mark.parametrize("fault", PLAN_FAULTS)
+def test_a_faulty_generated_plan_resolves_as_its_tuple_twin(fault):
+    """A generated plan with any one fault, at its first, middle or last
+    state or cycle, resolves as the same plan with tuple fields does:
+    a plan whose fields no longer share one set of columns is not read
+    from them."""
+    for k in range(1, 4):
+        for generate in (gen_incremental_plan, gen_exponential_plan):
+            plan = generate(k, 2 * k + 11)
+            for pick in (lambda seq: seq[0], lambda seq: seq[len(seq) // 2],
+                         lambda seq: seq[-1]):
+                assert_resolves_as_its_tuple_twin(with_plan_fault(plan, fault, pick))
+
+
+def test_a_replaced_field_of_a_generated_plan_resolves_as_its_tuple_twin():
+    """The same for each field replaced: k, the target, ancillas, cycles
+    (fewer, or another plan's view) and inputs (one state changed, or
+    another plan's view); resolving them leaves the plan as it was."""
+    for k in range(1, 4):
+        plan = gen_exponential_plan(k, 2 * k + 11)
+        other = gen_exponential_plan(k, 2 * k + 12)
+        twin = tuple_twin(plan)
+        first = plan.inputs[0]
+        for changed in (
+                plan._replace(k=k + 1), plan._replace(k=0),
+                plan._replace(target_n=plan.target_n + 1),
+                plan._replace(ancillas=(StateRef("extra", k, 2 * k + 1),)),
+                plan._replace(ancillas=(first,)),
+                plan._replace(cycles=plan.cycles[:-1]),
+                plan._replace(cycles=other.cycles),
+                plan._replace(inputs=other.inputs),
+                plan._replace(inputs=(first._replace(n=0), *plan.inputs[1:])),
+                plan._replace(inputs=(*plan.inputs[:-1], first))):
+            assert_resolves_as_its_tuple_twin(changed)
+        assert plan == twin and _resolve(plan) == _resolve(twin)
 
 
 # ------------------------------------------------------- exponential plan
