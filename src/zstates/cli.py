@@ -26,6 +26,7 @@ from .plandoc import (
     PlanDocument,
     approx_decimal,
     approx_ratio,
+    check_document_plan,
     document_to_plan,
     parse_document,
     render_document,
@@ -254,7 +255,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             raise _Exit(EXIT_BAD_INPUT, "--n1/--n2 are only valid for mode 'exact'")
         doc = PlanDocument(k=args.k, target_n=args.n_target, mode=args.mode)
     try:
-        document_to_plan(doc)
+        check_document_plan(doc)
     except InvalidPlanError as exc:
         # A generator's precondition is on the flags: bad input, not a bad plan.
         raise _Exit(EXIT_BAD_INPUT, *exc.violations) from exc

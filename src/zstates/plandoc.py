@@ -21,6 +21,7 @@ from .protocol import (
     InvalidPlanError,
     ProtocolPlan,
     StateRef,
+    _grown_span,
     check_cycle_count,
     gen_exact_plan,
     gen_exponential_plan,
@@ -36,6 +37,7 @@ __all__ = [
     "parse_document",
     "render_document",
     "document_to_plan",
+    "check_document_plan",
     "approx_decimal",
     "approx_ratio",
 ]
@@ -93,6 +95,9 @@ def _expect_str(obj: dict, key: str, where: str) -> str:
         except UnicodeEncodeError:
             raise DocumentError(f"{where}.{key} holds a lone surrogate, which "
                                 f"UTF-8 cannot encode") from None
+    # A control or separator character would forge or break a report line.
+    if not value.isprintable():
+        raise DocumentError(f"{where}.{key} holds a non-printable character")
     return value
 
 
@@ -119,7 +124,7 @@ def _whole_array(array: list, fields: dict) -> Optional[tuple]:
     """The entries' values, as `_parse_entry` returns them, if tests over the
     whole array show every entry valid, else None: every entry is a dict of
     exactly `fields`, every int field an int (a bool is not), every string
-    field a non-empty ASCII string."""
+    field a non-empty printable ASCII string."""
     if not ({*map(type, array)} <= {dict} and {*map(len, array)} <= {len(fields)}):
         return None
     try:
@@ -130,9 +135,11 @@ def _whole_array(array: list, fields: dict) -> Optional[tuple]:
         column = itemgetter(i)
         if not {*map(type, map(column, rows))} <= {kind}:
             return None
-        if kind is str and not (all(map(column, rows))
-                                and all(map(str.isascii, map(column, rows)))):
-            return None
+        if kind is str:
+            # Joined, the column is tested at C speed: `isascii` reads a flag.
+            text = "".join(map(column, rows))
+            if not (all(map(column, rows)) and text.isascii() and text.isprintable()):
+                return None
     return rows
 
 
@@ -236,6 +243,19 @@ def document_to_plan(doc: PlanDocument) -> ProtocolPlan:
     return ProtocolPlan(doc.k, tuple(starmap(StateRef, doc.inputs)),
                         tuple(starmap(StateRef, doc.ancillas)),
                         tuple(starmap(Cycle, doc.cycles)), doc.target_n)
+
+
+def check_document_plan(doc: PlanDocument) -> None:
+    """Raise as `document_to_plan` would, without building a grown plan:
+    incremental and exponential mode run only the checks their generators
+    make before building (`_grown_span`)."""
+    if doc.mode not in ("incremental", "exponential"):
+        document_to_plan(doc)
+        return
+    try:
+        _grown_span(doc.k, doc.target_n)
+    except ValueError as exc:
+        raise InvalidPlanError([str(exc)]) from exc
 
 
 _APPROX = Context(prec=6, rounding=ROUND_HALF_EVEN)

@@ -1,21 +1,23 @@
 """Declarative multi-cycle distillation plans with exact accounting.
 
 A plan is a graph: the declared input and ancilla states are its base
-nodes, and each cycle joins two states, named by id, into a third.  One
-pass resolves it into int columns by state position (sizes, depths,
-operands) and collects the violations; validation, depth, critical path,
-ledger, execution and DOT export all read those columns.  Execution is
-purely symbolic: each cycle takes the one step, derived once per run, and
-its probability follows from the norms C(n, k) of its three states, each
-computed once.  Cycles act on disjoint fresh states (the dataflow rules
-enforce single consumption), so the probability that a whole plan succeeds
-is the product of its per-cycle probabilities, a product that telescopes.
-A report's summary comes from the resolve pass and the one step; its
-cycle results are built when read, so a report holds no per-cycle record.
-A generated plan holds no per-cycle record either: its `inputs` and
-`cycles` are views over its columns (the ids, and each cycle's operand
-positions) that build a `StateRef` or a `Cycle` when read, and the resolve
-pass takes its positions from those columns.
+nodes, and each cycle joins two states, named by id, into a third.  It is
+resolved into int columns by state position (sizes, depths, operands) by
+one of two paths: whole-array tests accept a valid plan, and any other
+takes one sequential pass that words every violation.  Validation, depth,
+critical path, ledger, execution and DOT export all read those columns.
+Execution is purely symbolic: each cycle takes the one step, derived
+once per run, and its probability follows from the norms C(n, k) of its
+three states, each computed once.  Cycles act on disjoint fresh states
+(the dataflow rules enforce single consumption), so the probability that
+a whole plan succeeds is the product of its per-cycle probabilities, a
+product that telescopes.  A report's summary comes from the resolve
+pass and the one step; its cycle results are built when read, so a
+report holds no per-cycle record.  A generated plan holds no per-cycle
+record either: its `inputs` and `cycles` are views over its columns (the
+ids, and each cycle's operand positions) that build a `StateRef` or a
+`Cycle` when read, and the resolve pass takes its positions from those
+columns.
 """
 
 from __future__ import annotations
@@ -235,9 +237,11 @@ class PlanExecutionError(RuntimeError):
 class _Resolved(NamedTuple):
     """Each state's id, size and dependency depth by position (the declared
     states in order, then cycle i's product at D + i, D the number
-    declared), each cycle's operand positions and the final state's.  In a
-    plan that does not validate, an operand naming no state has position
-    None, as have the size and depth of a product of such an operand."""
+    declared), each cycle's operand positions, the final state's and the
+    violations, none for a plan the whole-array tests accept.  The pass
+    that words a plan's violations fills the same columns: an operand
+    naming no state has position None, as have the size and depth of a
+    product of such an operand, and the final state if it is such a product."""
 
     ids: list
     sizes: list
@@ -252,72 +256,17 @@ def _z(k: int, n: int) -> str:
     return f"Z_{int_str(k)}({int_str(n)})"
 
 
-def _state_violations(plan: ProtocolPlan) -> list[str]:
-    """The violations of the declared states, in declaration order."""
-    v: list[str] = []
-    k = plan.k
-    seen: set[str] = set()
-    for origin, declared in (("input", plan.inputs), ("ancilla", plan.ancillas)):
-        for ref in declared:
-            if not ref.id:
-                v.append(f"{origin} state with empty id")
-            if ref.id in seen:
-                v.append(f"duplicate state id {ref.id!r}")
-            seen.add(ref.id)
-            if ref.k != k:
-                v.append(f"state {ref.id!r} has k={int_str(ref.k)}, "
-                         f"plan k={int_str(k)}")
-            if ref.n < 1:
-                v.append(f"state {ref.id!r} has no qubits")
-            elif ref.n < ref.k:
-                v.append(f"state {ref.id!r} has k={int_str(ref.k)} > "
-                         f"n={int_str(ref.n)}")
-    return v
-
-
-def _cycle_violations(i: int, cyc: Cycle, k: int, declared: tuple, index: dict,
-                      sizes: list, consumed: set, unresolved: set) -> list[str]:
-    """The violations of cycle i, each operand's in turn, then its produced
-    id's; it marks the operands that resolve consumed."""
-    v: list[str] = []
-    for side, op in (("left", cyc.left), ("right", cyc.right)):
-        s = index.get(op)
-        if s is None:
-            # A product of an unresolved cycle was reported with it.
-            if op not in unresolved:
-                v.append(f"cycle {i}: {side} operand {op!r} is not an input, "
-                         f"ancilla, or earlier product")
-            continue
-        if sizes[s] < 2 * k:
-            z = _z(declared[s].k if s < len(declared) else k, sizes[s])
-            v.append(f"cycle {i}: {side} operand {z} has n < 2k")
-        if op in consumed:
-            v.append(f"cycle {i}: {side} operand {op!r} already consumed")
-        consumed.add(op)
-    if not cyc.produced:
-        v.append(f"cycle {i}: empty produced id")
-    if cyc.produced in index or cyc.produced in unresolved:
-        v.append(f"cycle {i}: produced id {cyc.produced!r} already in use")
-    return v
-
-
 def _resolve(plan: ProtocolPlan) -> _Resolved:
-    """One pass over the plan; messages spell every integer with `int_str`,
-    since a product of two declared sizes can pass the `str` digit limit.
-    A valid plan passes whole-array tests: ids distinct and non-empty, each
-    operand an earlier state consumed once and no smaller than 2k.  Any other
-    runs the loop that words violations, its helpers only where a test fails."""
-    v: list[str] = []
-    k = plan.k
-    if k < 1:
-        v.append(f"plan k must be >= 1, got {int_str(k)}")
-    elif k > MAX_K:
-        v.append(f"plan k must be at most {MAX_K}, got {int_str(k)}")
-    inputs, cycles = plan.inputs, plan.cycles
+    """The plan's columns.  A valid plan is accepted by whole-array tests:
+    k in 1..MAX_K, ids distinct and non-empty, every declared state of the
+    plan's k with n >= k, every operand an earlier state consumed once and
+    no smaller than 2k, and the final state the target.  Any other plan is
+    resolved by `_worded_resolve`, which words every violation."""
+    k, inputs, cycles = plan.k, plan.inputs, plan.cycles
     if (type(inputs) is _Inputs and type(cycles) is _Cycles
             and inputs._ids is cycles._ids and not plan.ancillas):
         # A generated plan: its columns give every id and operand position.
-        declared, ids, left, right = inputs, cycles._ids, cycles._left, cycles._right
+        ids, left, right = cycles._ids, cycles._left, cycles._right
         named, ks, sizes = {*ids}, {inputs._k}, [inputs._n] * len(inputs)
     else:
         declared = (*inputs, *plan.ancillas)
@@ -327,46 +276,85 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
         left = [*map(named.get, map(itemgetter(0), cycles), repeat(len(ids)))]
         right = [*map(named.get, map(itemgetter(1), cycles), repeat(len(ids)))]
         ks, sizes = {*map(itemgetter(1), declared)}, [*map(itemgetter(2), declared)]
-    d, n, c, two_k = len(declared), len(ids), len(left), 2 * k
-    distinct = len(named) == n and "" not in named
-    depth, least = [0] * d, min(sizes, default=k)
-    if not (distinct and ks <= {k} and least >= max(k, 1)):
-        v += _state_violations(plan)
-    valid = (distinct and all(map(lt, left, range(d, n)))
-             and all(map(lt, right, range(d, n))) and len({*left, *right}) == 2 * c)
-    if valid:
+    n, c, two_k, least = len(ids), len(left), 2 * k, min(sizes, default=k)
+    d = n - c
+    if (1 <= k <= MAX_K and len(named) == n and "" not in named and ks <= {k}
+            and least >= k and all(map(lt, left, range(d, n)))
+            and all(map(lt, right, range(d, n))) and len({*left, *right}) == 2 * c):
+        depth = [0] * d
         for a, b in zip(left, right):
             sizes.append(sizes[a] + sizes[b] - two_k)
             da, db = depth[a], depth[b]
             depth.append((da if da > db else db) + 1)  # `max` costs a call
+        final = n - 1 if c else next(
+            (s for s in range(len(inputs)) if sizes[s] == plan.target_n), None)
         # With no base state below 2k, no product is either.
-        valid = least >= two_k or min(map(sizes.__getitem__, left + right),
-                                      default=two_k) >= two_k
-    if not valid:
-        sizes[d:], depth[d:] = [None] * c, [None] * c
-        # New lists: the loop must not write into a generated plan's own.
-        left, right = [None] * c, [None] * c
-        # A repeated id keeps the place of its first and the state of its last.
-        index = dict(zip(ids, range(d)))
-        unresolved, consumed = set(), set()
-        for i, (lid, rid, pid) in enumerate(cycles):
-            a, b = left[i], right[i] = index.get(lid), index.get(rid)
-            if (a is not None and b is not None and sizes[a] >= two_k
-                    and sizes[b] >= two_k and lid != rid and lid not in consumed
-                    and rid not in consumed and pid and pid not in index
-                    and pid not in unresolved):
-                consumed.update((lid, rid))
-            else:
-                v += _cycle_violations(i, cycles[i], k, declared, index, sizes,
-                                       consumed, unresolved)
-                if a is None or b is None:
-                    unresolved.add(pid)
-                    continue
+        if (final is not None and sizes[final] == plan.target_n
+                and (least >= two_k or min(map(sizes.__getitem__, left + right),
+                                           default=two_k) >= two_k)):
+            return _Resolved(ids, sizes, depth, left, right, final, [])
+    return _worded_resolve(plan)
+
+
+def _worded_resolve(plan: ProtocolPlan) -> _Resolved:
+    """`_resolve` of a plan that does not validate: one pass in plan order
+    words every violation, of the plan's k, of each declared state, of each
+    cycle's operands and then its produced id, and of the target.  Messages
+    spell every integer with `int_str`, since a product of two declared
+    sizes can pass the `str` digit limit."""
+    v: list[str] = []
+    k = plan.k
+    if k < 1:
+        v.append(f"plan k must be >= 1, got {int_str(k)}")
+    elif k > MAX_K:
+        v.append(f"plan k must be at most {MAX_K}, got {int_str(k)}")
+    declared, cycles = (*plan.inputs, *plan.ancillas), plan.cycles
+    d, c, two_k = len(declared), len(cycles), 2 * k
+    index: dict = {}  # each state's position by id: a repeated id's last
+    for s, (sid, sk, sn) in enumerate(declared):
+        if not sid:
+            v.append(f"{'input' if s < len(plan.inputs) else 'ancilla'} state "
+                     f"with empty id")
+        if sid in index:
+            v.append(f"duplicate state id {sid!r}")
+        index[sid] = s
+        if sk != k:
+            v.append(f"state {sid!r} has k={int_str(sk)}, plan k={int_str(k)}")
+        if sn < 1:
+            v.append(f"state {sid!r} has no qubits")
+        elif sn < sk:
+            v.append(f"state {sid!r} has k={int_str(sk)} > n={int_str(sn)}")
+    ids = [*map(itemgetter(0), declared), *map(itemgetter(2), cycles)]
+    sizes = [*map(itemgetter(2), declared), *repeat(None, c)]
+    depth, left, right = [0] * d + [None] * c, [None] * c, [None] * c
+    unresolved, consumed = set(), set()
+    for i, (lid, rid, pid) in enumerate(cycles):
+        a, b = left[i], right[i] = index.get(lid), index.get(rid)
+        for side, op, s in (("left", lid, a), ("right", rid, b)):
+            if s is None:
+                # A product of an unresolved cycle was worded with it.
+                if op not in unresolved:
+                    v.append(f"cycle {i}: {side} operand {op!r} is not an input, "
+                             f"ancilla, or earlier product")
+                continue
+            if sizes[s] < two_k:
+                z = _z(declared[s].k if s < d else k, sizes[s])
+                v.append(f"cycle {i}: {side} operand {z} has n < 2k")
+            if op in consumed:
+                v.append(f"cycle {i}: {side} operand {op!r} already consumed")
+            consumed.add(op)
+        if not pid:
+            v.append(f"cycle {i}: empty produced id")
+        if pid in index or pid in unresolved:
+            v.append(f"cycle {i}: produced id {pid!r} already in use")
+        if a is None or b is None:
+            unresolved.add(pid)
+        else:
             index[pid] = d + i
             sizes[d + i] = sizes[a] + sizes[b] - two_k
             depth[d + i] = max(depth[a], depth[b]) + 1
     if cycles:
-        final = None if sizes[-1] is None else n - 1
+        final = None if sizes[-1] is None else d + c - 1
         if final is not None and sizes[final] != plan.target_n:
             v.append(f"final product {_z(k, sizes[final])} does not match "
                      f"target {_z(k, plan.target_n)}")
@@ -542,6 +530,16 @@ def gen_exact_plan(k: int, n1: int, n2: int) -> ProtocolPlan:
                         n1 + n2)
 
 
+def _grown_span(k: int, n_target: int) -> int:
+    """The span n_target - 2k of a grown plan, once the checks it is built
+    after hold: ValueError for k outside 1..MAX_K, n_target below 2k + 1,
+    or span - 1 cycles past MAX_CYCLES."""
+    _check_generator_domain(k, n_target, "n_target", 2 * k + 1)
+    span = n_target - 2 * k
+    check_cycle_count(span - 1)
+    return span
+
+
 def _grown_plan(k: int, n_target: int, doubling: bool) -> ProtocolPlan:
     """Reach Z_k(n_target) from Z_k(2k+1) base states: with `doubling`, a
     balanced tree first builds the largest power-of-two span that fits;
@@ -549,10 +547,7 @@ def _grown_plan(k: int, n_target: int, doubling: bool) -> ProtocolPlan:
     A span of n_target - 2k takes span - 1 cycles either way.  States are
     numbered as they are made, the tree's in post-order: base state j is
     `base{j+1}` at position j, cycle i's product `s{i+1}` at span + i."""
-    base_n = 2 * k + 1
-    _check_generator_domain(k, n_target, "n_target", base_n)
-    span = n_target - 2 * k
-    check_cycle_count(span - 1)
+    span = _grown_span(k, n_target)
     top = 1 << (span.bit_length() - 1) if doubling else 1
     # The tree of 2s leaves is the tree of s, its copy on the next s base
     # states and s - 1 products (a base state's position moves by s, a
@@ -568,7 +563,7 @@ def _grown_plan(k: int, n_target: int, doubling: bool) -> ProtocolPlan:
         left += [root, *range(span + top - 1, 2 * span - 2)]
         right += range(top, span)
     ids = [f"base{j}" for j in range(1, span + 1)] + [f"s{i}" for i in range(1, span)]
-    return ProtocolPlan(k, _Inputs(ids, k, base_n, span), (),
+    return ProtocolPlan(k, _Inputs(ids, k, 2 * k + 1, span), (),
                         _Cycles(ids, left, right), n_target)
 
 

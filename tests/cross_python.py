@@ -9,11 +9,12 @@ OUT.json: each command with its exit code, its stderr and the sha-256 of
 its stdout.  Two runs wrote the same bytes where their files are equal
 (`cmp a.json b.json`).  The commands cover the golden plans, generated
 plans at k 1-5, explicit plans (hostile ids included), every kind of
-invalid plan a document can describe and malformed documents.  Only the
-standard library is used, so an interpreter without pytest can run it,
-and pytest does not collect it.  The documents are written to a temporary
-directory, the working directory while the commands run, so no message
-holds a path that differs between runs.
+invalid plan a document can describe, malformed documents and ids holding
+a control or separator character.  Only the standard library is used, so
+an interpreter without pytest can run it, and pytest does not collect it.
+The documents are written to a temporary directory, the working directory
+while the commands run, so no message holds a path that differs between
+runs.
 """
 
 import contextlib
@@ -163,7 +164,17 @@ def commands(work):
         name = write(f"tree-{i}.json", doubling(2, 6, prefix.__add__))
         for argv in runs:
             yield [argv[0], name, *argv[1:]]
-    for i, doc in enumerate(faults(incremental(2, 6))):
+    # Ids holding a control or separator character, at a base state and at
+    # a product: the document is refused as it comes in.
+    for i, mark in enumerate(("\n", "\x1b[31m", "\u2028")):
+        for at in ("b0", "p0"):
+            name = write(f"unprintable-{i}-{at}.json",
+                         doubling(1, 3, lambda s, at=at, mark=mark: s + mark * (s == at)))
+            for argv in runs:
+                yield [argv[0], name, *argv[1:]]
+    # A doubling tree whose only fault is its target.
+    wrong_target = {**doubling(2, 6, str), "target_n": 2 * 2 + 2 ** 6 + 1}
+    for i, doc in enumerate([*faults(incremental(2, 6)), wrong_target]):
         name = write(f"invalid-{i}.json", doc)
         yield ["graph", name]
         yield ["run", name, "--report", "json"]

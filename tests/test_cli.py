@@ -496,6 +496,55 @@ def test_lone_surrogate_ids_exit_2_on_a_real_stdout(tmp_path):
                    "surrogate, which UTF-8 cannot encode\n"), argv
 
 
+@pytest.mark.parametrize("where, value", [
+    (("inputs", 0, "id"), "a\ncycle 9: fake"),
+    (("cycles", 0, "produced"), "b\x1b[31m"),
+    (("cycles", 2, "right"), "c\u2028"),
+    (("mode",), "explicit\x1b[0m"),
+], ids=["newline-input", "escape-product", "separator-operand", "escape-mode"])
+def test_non_printable_ids_exit_2(tmp_path, capsys, where, value):
+    """An id (or the mode) holding a control or separator character, which
+    would forge or break a report line, is refused as the document comes
+    in: exit 2, one stderr line naming the field and no stdout, whether its
+    array is checked whole or, with a flaw further on, entry by entry."""
+    doc = {"schema_version": 1, "mode": "explicit", "k": 1, "target_n": 6,
+           "inputs": [{"id": f"base{j}", "k": 1, "n": 3} for j in range(1, 5)],
+           "ancillas": [],
+           "cycles": [{"left": f"s{i}" if i else "base1", "right": f"base{i + 2}",
+                       "produced": f"s{i + 1}"} for i in range(3)]}
+    if len(where) == 1:
+        field = "document.mode"
+        doc["mode"] = value
+    else:
+        key, index, name = where
+        field = f"{key}[{index}].{name}"
+        doc[key][index][name] = value
+    message = f"malformed plan document: {field} holds a non-printable character\n"
+    path = tmp_path / "plan.json"
+    for further_flaw in (False, True):
+        if further_flaw:  # sends the field's array to the per-entry parser
+            array = doc[where[0]] if len(where) > 1 else doc["cycles"]
+            array.append({**array[-1], "extra": 1})
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["run"], ["run", "--report", "json"], ["graph"]):
+            assert run_cli(capsys, argv[0], str(path), *argv[1:]) == (2, "", message)
+
+
+@pytest.mark.parametrize("mode", ["incremental", "exponential"])
+def test_plan_checks_a_grown_plan_without_building_it(capsys, monkeypatch, mode):
+    """`plan` runs the checks a generator makes before it builds, and builds
+    nothing: a plan of `MAX_CYCLES` cycles is written at once, one more is
+    refused with the generator's message."""
+    monkeypatch.setattr(zstates.protocol, "_grown_plan", None)
+    limit = zstates.protocol.MAX_CYCLES
+    target = limit + 3  # k = 1: n_target - 3 cycles
+    assert run_cli(capsys, "plan", "--mode", mode, "--k", "1", "--n-target",
+                   str(target)) == (0, render_document(PlanDocument(1, target, mode)), "")
+    assert run_cli(capsys, "plan", "--mode", mode, "--k", "1", "--n-target",
+                   str(target + 1)) == (2, "", f"the plan would have {limit + 1} "
+                                               f"cycles, more than the limit of {limit}\n")
+
+
 def test_plan_precondition_violations_exit_2(capsys):
     code, _, err = run_cli(capsys, "plan", "--mode", "incremental", "--k", "1",
                            "--n-target", "2")
@@ -515,7 +564,12 @@ def test_plan_precondition_violations_exit_2(capsys):
                 "(choose from 'plan', 'run', 'graph', 'verify')"),
     (["run"], "zstates run: error: the following arguments are required: "
               "plan_file"),
-], ids=["bad-int", "unknown-command", "missing-positional"])
+    (["plan", "--mode", "exact", "--k", "1", "--n1", "3", "--n2", "3",
+      "--n-target", "7"], "--n-target must equal n1 + n2 for mode 'exact'"),
+    (["plan", "--mode", "incremental", "--k", "1", "--n-target", "5", "--n2", "3"],
+     "--n1/--n2 are only valid for mode 'exact'"),
+], ids=["bad-int", "unknown-command", "missing-positional", "exact-n-target",
+        "n2-outside-exact"])
 def test_usage_errors_are_one_stderr_line(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", message + "\n")
 
@@ -704,15 +758,14 @@ def test_graph_invalid_plan_exits_3(tmp_path, capsys):
 def test_a_valid_explicit_plan_takes_the_one_test_paths(tmp_path, capsys,
                                                        monkeypatch):
     """On a valid explicit document of 4,000 cycles, `graph` and `run` check
-    each array whole and each state and cycle with one test: neither the
-    per-entry parser nor a helper that words violations runs.  Generated
+    each array whole and accept the plan by whole-array tests: neither the
+    per-entry parser nor the pass that words violations runs.  Generated
     plans, the exact one and 4,000-cycle incremental and exponential ones,
     take the same whole-array resolve.  One fault sends its array, or its
-    cycle, down the slow path."""
+    plan, down the slow path."""
     calls = collections.Counter()
     for module, name in ((zstates.plandoc, "_parse_entry"),
-                         (zstates.protocol, "_state_violations"),
-                         (zstates.protocol, "_cycle_violations")):
+                         (zstates.protocol, "_worded_resolve")):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
             return _original(*args)
@@ -736,7 +789,7 @@ def test_a_valid_explicit_plan_takes_the_one_test_paths(tmp_path, capsys,
     doc["cycles"][-1]["right"] = "ghost"
     path.write_text(json.dumps(doc))
     assert run_cli(capsys, "graph", str(path))[0] == 3
-    assert calls == {"_cycle_violations": 1}
+    assert calls == {"_worded_resolve": 1}
     doc["inputs"][-1]["n"] = True
     path.write_text(json.dumps(doc))
     assert run_cli(capsys, "graph", str(path))[0] == 2

@@ -1,6 +1,7 @@
 """The projection target and the 2k-local distillation step."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,22 @@ import zstates.verify
 from conftest import fresh_outcome
 from zstates import (
     DENSE_CAP,
+    ZERO,
+    DenseState,
     DistillOutcome,
     NotCollectibleError,
     RegisterId,
+    ZBlock,
+    block_sum,
     dense_inner,
     dense_project,
+    dense_z,
     distill_step,
+    merge_registers,
     norm_sq,
+    project_registers,
     success_probability,
+    tensor,
     to_dense,
     x0_alpha,
     x0_beta_sq,
@@ -200,6 +209,17 @@ def test_cell_check_reads_the_outcome_it_is_given(monkeypatch):
     assert check_distillation_cell(1, 12, 11, Fraction(7)) is None
 
 
+def test_cell_check_finds_a_remainder_not_proportional(monkeypatch):
+    """Negative control of the oracle's first test: with unit projection
+    weights the dense remainder of a k = 2 cell is no multiple of Z_2(6)."""
+    x0 = zstates.verify.x0_state
+    monkeypatch.setattr(zstates.verify, "x0_state",
+                        lambda k, a, b: x0(k, a, b, [Fraction(1)] * (k + 1)))
+    problems = check_distillation_cell(2, 5, 5, success_probability(2, 5, 5))
+    assert problems[0] == ("(k=2, N1=5, N2=5): dense remainder is not "
+                           "proportional to Z_2(6)")
+
+
 def test_selection_invariance_spot_checks():
     rng = random.Random(11)
     for k, n1, n2 in [(1, 3, 5), (2, 4, 6), (3, 6, 7)]:
@@ -290,3 +310,35 @@ def test_selection_sweep_checks_the_stored_outcome():
     assert res.cells == 9
     assert [f.split(": ", 1)[1] for f in res.failures] == [
         "(k=1, N1=3, N2=3): oracle weight 2/9 != symbolic probability 1/9"]
+
+
+# ------------------------------------------------------ engine input errors
+
+PAIR = tensor(z_state(1, 2, RegisterId("A", 2)), z_state(1, 2, RegisterId("B", 2)))
+NEGATIVE = block_sum([(Fraction(-1), z_state(1, 3, "A").terms[0][1])])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RegisterId("", 2), "register label must be non-empty"),
+    (lambda: RegisterId("A", -1), "register width must be non-negative, got -1"),
+    (lambda: ZBlock(RegisterId("A", 2), 3), "excitations must lie in 0..2, got 3"),
+    (lambda: merge_registers(PAIR, "A", "A", "C"),
+     "left and right registers must differ"),
+    (lambda: merge_registers(tensor(PAIR, z_state(0, 1, "C")), "A", "B", "C"),
+     "label 'C' already in use"),
+    (lambda: project_registers(PAIR, ZERO), "projection target must be nonzero"),
+    (lambda: project_registers(PAIR, z_state(1, 3, "A")),
+     "target register 'A' not present with matching width"),
+    (lambda: dense_z(3, 2), "excitation count must lie in 0..2, got 3"),
+    (lambda: dense_project(dense_z(1, 2), [0], DenseState(1, {})),
+     "projection target must be nonzero"),
+    (lambda: x0_alpha(0), "projection target needs k >= 1"),
+    (lambda: distill_step(NEGATIVE, z_state(1, 3, "B")),
+     "operand coefficient must be positive"),
+], ids=["empty-label", "negative-width", "excitations", "merge-same-register",
+        "merge-label-in-use", "project-zero-target", "project-missing-register",
+        "dense-z-excitations", "dense-project-zero-target", "x0-alpha-k",
+        "negative-operand"])
+def test_engine_input_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

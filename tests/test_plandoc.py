@@ -75,6 +75,18 @@ def test_unknown_nested_fields_rejected():
         parse_document(text)
 
 
+def test_a_misspelt_entry_field_is_named():
+    """An entry with as many fields as it should have, one of them
+    misspelt, fails the whole-array test and is worded per entry."""
+    text = json.dumps({
+        "schema_version": 1, "mode": "explicit", "k": 1, "target_n": 3,
+        "inputs": [{"id": "a", "k": 1, "n": 3}, {"id": "b", "k": 1, "m": 3}],
+        "cycles": [],
+    })
+    with pytest.raises(DocumentError, match=r"^inputs\[1\] has unknown fields: \['m'\]$"):
+        parse_document(text)
+
+
 @pytest.mark.parametrize("mutation", [
     {"schema_version": 2},
     {"mode": "unknown"},
@@ -197,6 +209,8 @@ def per_entry_arrays(obj: dict) -> tuple:
             except UnicodeEncodeError:
                 raise DocumentError(f"{where}.{key} holds a lone surrogate, "
                                     f"which UTF-8 cannot encode") from None
+        if not value.isprintable():
+            raise DocumentError(f"{where}.{key} holds a non-printable character")
         return value
 
     state = {"id": expect_str, "k": expect_int, "n": expect_int}
@@ -225,7 +239,8 @@ STATE_ENTRIES = st.fixed_dictionaries(
 CYCLE_ENTRIES = st.fixed_dictionaries(
     {"left": ENTRY_IDS, "right": ENTRY_IDS, "produced": ENTRY_IDS})
 ENTRY_FAULTS = ("none", "non-dict", "missing key", "extra key", "bool",
-                "float", "empty id", "lone surrogate", "non-ASCII id")
+                "float", "empty id", "lone surrogate", "non-ASCII id",
+                "control character", "separator", "misspelt key")
 
 
 def with_fault(entry: dict, fault: str, field: str, int_field: str):
@@ -239,6 +254,8 @@ def with_fault(entry: dict, fault: str, field: str, int_field: str):
         del entry[field]
     elif fault == "extra key":
         entry["extra"] = 1
+    elif fault == "misspelt key":  # as many fields, one of them unknown
+        entry[field + "x"] = entry.pop(field)
     elif fault in ("bool", "float"):
         entry[int_field] = {"bool": True, "float": 3.0}[fault]
     elif fault == "empty id":
@@ -247,6 +264,10 @@ def with_fault(entry: dict, fault: str, field: str, int_field: str):
         entry[str_field] += "\ud800"
     elif fault == "non-ASCII id":
         entry[str_field] += "é\U0001d11e"
+    elif fault == "control character":
+        entry[str_field] += "\n"
+    elif fault == "separator":
+        entry[str_field] += "\u2028"
     return entry
 
 
