@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -70,45 +71,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise _Exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}")
-
-
-@functools.cache
-def _parser() -> _Parser:
-    """The command line parser, built once per process."""
-    parser = _Parser(
-        prog="zstates",
-        description="Exact engine for symmetric-state distillation plans.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_plan = sub.add_parser("plan", help="generate a plan document on stdout")
-    p_plan.add_argument("--mode", required=True,
-                        choices=("exact", "incremental", "exponential"))
-    p_plan.add_argument("--k", type=int, required=True,
-                        help="excitations per state")
-    p_plan.add_argument("--n-target", type=int, dest="n_target",
-                        help="target qubit count (incremental/exponential)")
-    p_plan.add_argument("--n1", type=int, help="first input size (exact mode)")
-    p_plan.add_argument("--n2", type=int, help="second input size (exact mode)")
-
-    p_run = sub.add_parser("run", help="execute a plan document")
-    p_run.add_argument("plan_file")
-    p_run.add_argument("--report", choices=("text", "json"), default="text",
-                       help="report format (default: text)")
-    p_run.add_argument("--verify-with-oracle", action="store_true",
-                       help="replay each distinct cell within the dense "
-                            "cap once on the dense expansion")
-
-    p_graph = sub.add_parser("graph", help="emit a DOT graph of a plan")
-    p_graph.add_argument("plan_file")
-
-    p_verify = sub.add_parser("verify", help="run the verification sweeps")
-    p_verify.add_argument("--max-n", type=int, default=12, dest="max_n")
-    p_verify.add_argument("--max-k", type=int, default=3, dest="max_k")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--corrupt-alpha", action="store_true",
-                          help="debug: sabotage the projection weights; the "
-                               "distillation sweep must then fail")
-    return parser
 
 
 def _frac_str(value: Fraction) -> str:
@@ -199,17 +161,32 @@ def report_to_text(plan: ProtocolPlan, report: ExecutionReport,
               + f"\nfinal: {_state_str(report.final)}\n")
 
 
+def _digits(value: int) -> int:
+    """`len(str(value))` for an int value >= 0, counted from its bit length
+    and one power of ten rather than spelled."""
+    if not value:
+        return 1
+    # The estimate is the digits of 2**(bits - 1) less one, so never past
+    # the count even after float rounding; the loop steps it up to the count.
+    digits = int((value.bit_length() - 1) * math.log10(2))
+    power = 10 ** digits
+    while value >= power:
+        digits, power = digits + 1, power * 10
+    return digits
+
+
 def _max_digits(report: ExecutionReport) -> int:
     """Most decimal digits of any int in the JSON report: in its fractions or
     its ledger, whose sums bound every state size, index and k in it."""
     ints = [*report.ledger, *report.cumulative_success.as_integer_ratio()]
     for row in report.cycles.rows(range(len(report.cycles))):
         ints += row[6:8]
-    return len(int_str(max(map(abs, ints))))
+    return _digits(max(map(abs, ints)))
 
 
-def _load_plan(path_str: str) -> ProtocolPlan:
-    """The plan a document file describes; raises for any flaw on the way."""
+def _read_text(path_str: str) -> str:
+    """The text of a document file, read within the size limit.  Its bytes
+    go with this frame, so they are not held while the text is parsed."""
     path = Path(path_str)
     try:
         size = path.stat().st_size
@@ -229,11 +206,15 @@ def _load_plan(path_str: str) -> ProtocolPlan:
                         f"cannot read {path_str}: it holds more than the "
                         f"limit of {MAX_DOCUMENT_BYTES} bytes")
         # Decoded as a text-mode read decodes it, universal newlines included.
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _Exit(EXIT_BAD_INPUT, f"cannot read {path_str}: {exc}") from exc
+
+
+def _load_plan(path_str: str) -> ProtocolPlan:
+    """The plan a document file describes; raises for any flaw on the way."""
     try:
-        doc = parse_document(text)
+        doc = parse_document(_read_text(path_str))
     except DocumentError as exc:
         raise _Exit(EXIT_BAD_INPUT, f"malformed plan document: {exc}") from exc
     return document_to_plan(doc)
@@ -310,14 +291,67 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+# Each command: its handler, its help line and the `add_argument` calls of
+# its parser, one (name, keywords) pair each, in `--help` order.
+_COMMANDS = {
+    "plan": (cmd_plan, "generate a plan document on stdout", (
+        ("--mode", dict(required=True,
+                        choices=("exact", "incremental", "exponential"))),
+        ("--k", dict(type=int, required=True, help="excitations per state")),
+        ("--n-target", dict(type=int, dest="n_target",
+                            help="target qubit count (incremental/exponential)")),
+        ("--n1", dict(type=int, help="first input size (exact mode)")),
+        ("--n2", dict(type=int, help="second input size (exact mode)")),
+    )),
+    "run": (cmd_run, "execute a plan document", (
+        ("plan_file", {}),
+        ("--report", dict(choices=("text", "json"), default="text",
+                          help="report format (default: text)")),
+        ("--verify-with-oracle", dict(
+            action="store_true", help="replay each distinct cell within the "
+                                      "dense cap once on the dense expansion")),
+    )),
+    "graph": (cmd_graph, "emit a DOT graph of a plan", (("plan_file", {}),)),
+    "verify": (cmd_verify, "run the verification sweeps", (
+        ("--max-n", dict(type=int, default=12, dest="max_n")),
+        ("--max-k", dict(type=int, default=3, dest="max_k")),
+        ("--seed", dict(type=int, default=0)),
+        ("--corrupt-alpha", dict(
+            action="store_true", help="debug: sabotage the projection weights; "
+                                      "the distillation sweep must then fail")),
+    )),
+}
+
+
+@functools.cache
+def _parser(command: Optional[str]) -> _Parser:
+    """The parser of an argv whose first word is `command`, built once per
+    process and command.  It holds that command's subparser alone; for None,
+    any other first word, it holds every command's, as top-level help and
+    an unknown command's error list them all.  The top level parses alike
+    either way: the command word comes first, and its subparser takes every
+    argument after it."""
+    parser = _Parser(
+        prog="zstates",
+        description="Exact engine for symmetric-state distillation plans.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in (command,) if command else _COMMANDS:
+        _, help_line, arguments = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_line)
+        for argument, keywords in arguments:
+            subparser.add_argument(argument, **keywords)
+    return parser
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one command; the only place a failure becomes its exit code and
     its stderr lines."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _parser().parse_args(argv)
-        command = {"plan": cmd_plan, "run": cmd_run, "graph": cmd_graph,
-                   "verify": cmd_verify}[args.command]
-        return command(args)
+        args = _parser(command).parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except _Exit as exc:
         code, messages = exc.code, exc.messages
     except InvalidPlanError as exc:

@@ -9,9 +9,11 @@ OUT.json: each command with its exit code, its stderr and the sha-256 of
 its stdout.  Two runs wrote the same bytes where their files are equal
 (`cmp a.json b.json`).  The commands cover the golden plans, generated
 plans at k 1-5, explicit plans (hostile ids included), every kind of
-invalid plan a document can describe, malformed documents and ids holding
-a control or separator character.  Only the standard library is used, so
-an interpreter without pytest can run it, and pytest does not collect it.
+invalid plan a document can describe, malformed documents, ids holding a
+control or separator character, and help and usage errors; help is
+wrapped at 80 columns whatever the terminal.  Only the standard library
+is used, so an interpreter without pytest can run it, and pytest does not
+collect it.
 The documents are written to a temporary directory, the working directory
 while the commands run, so no message holds a path that differs between
 runs.
@@ -110,6 +112,17 @@ MALFORMED = [
 ]
 
 
+# Help, usage errors and first words that name no command.
+USAGE = [
+    [], ["-h"], ["--help"], ["-h", "run"], ["bogus"], ["ru"], ["RUN"], ["--"],
+    ["--", "run", "x"], ["run", "--rep", "json", "x"], ["run", "x", "--bogus"],
+    ["run", "x", "--report", "xml"], ["run"], ["graph"], ["graph", "a", "b"],
+    ["plan", "--mode", "exact", "--k", "x"], ["plan", "--mode", "exact"],
+    ["verify", "--max-n", "five"], ["verify", "--seed"],
+    *([command, "--help"] for command in ("plan", "run", "graph", "verify")),
+]
+
+
 def malformed_entries(doc):
     """The document with one malformed entry in each array."""
     for key, index in (("inputs", 0), ("inputs", -1), ("cycles", 0), ("cycles", -1)):
@@ -183,6 +196,7 @@ def commands(work):
     yield ["run", "missing.json"]
     yield ["plan", "--mode", "incremental", "--k", "0", "--n-target", "5"]
     yield ["verify"]
+    yield from USAGE
 
 
 def main(src, out):
@@ -191,6 +205,7 @@ def main(src, out):
 
     work = Path(tempfile.mkdtemp())
     here = os.getcwd()
+    os.environ["COLUMNS"] = "80"  # help wraps at the same width on any terminal
     results = []
     try:
         os.chdir(work)

@@ -1,12 +1,12 @@
 """Command line round trips, report formats, and exit codes."""
 
-import argparse
 import collections
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -439,6 +439,16 @@ def test_ledger_sums_past_the_int_digit_limit(tmp_path, capsys):
     assert run_cli(capsys, "graph", str(path))[0] == 0
 
 
+@pytest.mark.parametrize("j", [1, 2, 15, 16, 17, 300, 4300, 4301, 20000])
+def test_digit_counts_match_the_spelling(j):
+    """`_digits` counts what `str` spells, on both sides of each power of
+    ten, past `str`'s digit limit too."""
+    from zstates.cli import _digits
+
+    values = [0, 10 ** j - 1, 10 ** j, 10 ** j + 1, 2 ** (j * 10), 7 ** j]
+    assert [_digits(v) for v in values] == [len(str(Decimal(v))) for v in values]
+
+
 def test_graph_spells_sizes_past_the_int_digit_limit(tmp_path, capsys):
     """An unconsumed product of 4,301 digits still draws: its label is spelled
     exactly, as the run report spells it."""
@@ -580,22 +590,6 @@ def test_help_goes_to_stdout_and_exits_0(capsys):
     assert out.startswith("usage: zstates plan [-h] --mode")
 
 
-def test_parser_is_built_once(monkeypatch, capsys):
-    argv = ["plan", "--mode", "exact", "--k", "1", "--n1", "3", "--n2", "3"]
-    assert run_cli(capsys, *argv)[0] == 0
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    for _ in range(3):
-        assert run_cli(capsys, *argv)[0] == 0
-    assert built == []
-
-
 def test_run_malformed_document_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{broken")
@@ -731,6 +725,31 @@ def test_an_endless_stream_is_read_only_to_the_limit(capsys, monkeypatch):
         assert run_cli(capsys, command, "/dev/zero") == (
             2, "", "cannot read /dev/zero: it holds more than the limit of "
                    "4096 bytes\n")
+
+
+def test_a_document_is_parsed_without_its_bytes(tmp_path):
+    """The file's bytes are dropped once decoded: loading an explicit
+    document of about 2 MB peaks no higher than parsing its text, where
+    holding the bytes would add the document's size."""
+    from zstates.cli import _load_plan
+
+    plan = gen_incremental_plan(1, 3 + 13000)
+    path = tmp_path / "plan.json"
+    size = path.write_text(render_document(PlanDocument(
+        k=1, target_n=3 + 13000, mode="explicit", inputs=plan.inputs,
+        cycles=plan.cycles)))
+    assert 1_900_000 < size < 2_200_000
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            assert len(load().cycles) == 13000
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    parsed = peak(lambda: document_to_plan(parse_document(path.read_text())))
+    assert peak(lambda: _load_plan(str(path))) < parsed + size // 4
 
 
 def test_a_crlf_document_reports_json_errors_at_text_offsets(tmp_path, capsys):
