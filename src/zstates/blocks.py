@@ -291,7 +291,10 @@ def project_registers(a: BlockSum, target: BlockSum) -> BlockSum:
     """Partial inner product: contract `a` with `target` over the target's registers.
 
     Every register of the target must appear in `a` with the same width; the
-    result lives on the remaining registers.
+    result lives on the remaining registers.  A projection with no surviving
+    term returns `ZERO`, which has no registers: `to_dense` of it has width
+    0, not the remaining registers' width, so a width-aware comparison with
+    a dense projection must treat a zero result on its own.
     """
     if target.is_zero():
         raise ValueError("projection target must be nonzero")

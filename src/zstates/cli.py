@@ -13,7 +13,6 @@ import functools
 import io
 import math
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Optional, TextIO
@@ -73,13 +72,9 @@ class _Parser(argparse.ArgumentParser):
         raise _Exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}")
 
 
-def _frac_str(value: Fraction) -> str:
-    """`str(value)`, spelled with :func:`int_str`."""
-    return _ratio_str(value.numerator, value.denominator)
-
-
 def _ratio_str(num: int, den: int) -> str:
-    """`_frac_str` of the reduced num/den."""
+    """`str(Fraction(num, den))` of the reduced num/den, spelled with
+    :func:`int_str`."""
     return int_str(num) if den == 1 else f"{int_str(num)}/{int_str(den)}"
 
 
@@ -154,7 +149,7 @@ def report_to_text(plan: ProtocolPlan, report: ExecutionReport,
             for i, (left, right, produced, n1, n2, n, num, den, checked)
             in zip(part, cycles.rows(part))]))
     out.write("cumulative success probability: "
-              f"{_frac_str(report.cumulative_success)} "
+              f"{_ratio_str(*report.cumulative_success.as_integer_ratio())} "
               f"(~ {approx_decimal(report.cumulative_success)})\n"
               "ledger: " + " ".join([f"{name}={int_str(value)}" for name, value
                                      in _ledger_items(report.ledger)])

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TextIO
 
 from .combinatorics import int_str
-from .protocol import ProtocolPlan, _resolve_valid, chunk_ranges
+from .protocol import ProtocolPlan, _resolve, chunk_ranges
 
 __all__ = ["plan_to_dot"]
 
@@ -36,7 +36,7 @@ def plan_to_dot(plan: ProtocolPlan, out: TextIO) -> None:
     """Write DOT source for a plan to `out`, a chunk of states or cycles at a
     time; raises InvalidPlanError, with nothing written, if it does not
     validate."""
-    ids, sizes, _, left, right = _resolve_valid(plan)[:5]
+    ids, sizes, _, left, right = _resolve(plan)[:5]
     # Ids are tested all at once: only one holding a quote or a backslash
     # needs escapes, and only one starting with `proj` or `~` a prefix.
     joined = "\0" + "\0".join(ids)

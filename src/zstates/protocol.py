@@ -1,11 +1,11 @@
 """Declarative multi-cycle distillation plans with exact accounting.
 
 A plan is a graph: the declared input and ancilla states are its base
-nodes, and each cycle joins two states, named by id, into a third.  It is
-resolved into int columns by state position (sizes, depths, operands) by
-one of two paths: whole-array tests accept a valid plan, and any other
-takes one sequential pass that words every violation.  Validation, depth,
-critical path, ledger, execution and DOT export all read those columns.
+nodes, and each cycle joins two states, named by id, into a third.
+Whole-array tests accept a valid plan and resolve it into int columns by
+state position (sizes, depths, operands); any other is refused with every
+violation, worded by one sequential pass.  Validation, depth, critical
+path, ledger, execution and DOT export all read those columns.
 Execution is purely symbolic: each cycle takes the one step, derived
 once per run, and its probability follows from the norms C(n, k) of its
 three states, each computed once.  Cycles act on disjoint fresh states
@@ -97,11 +97,22 @@ class ProtocolPlan(NamedTuple):
 
 
 class CycleResult(NamedTuple):
-    left: StateRef
-    right: StateRef
-    produced: StateRef
-    probability: Fraction
+    """One cycle of a report: its three state ids, their sizes, and its
+    probability as the reduced num/den, den > 0."""
+
+    left: str
+    right: str
+    produced: str
+    n_left: int
+    n_right: int
+    n_produced: int
+    num: int
+    den: int
     oracle_checked: bool = False
+
+    @property
+    def probability(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
 
 class ResourceLedger(NamedTuple):
@@ -177,23 +188,22 @@ class _CycleResults(_View):
     """A report's cycle results, each computed when it is read from the
     resolved columns, the states' C(n, k) and the step's beta_sq; `checked`
     holds the cells (n1, n2) the oracle replayed.  The writers read plain
-    rows (`rows`), and indexing builds a `CycleResult` from the same row."""
+    rows (`rows`), and indexing wraps the same row in a `CycleResult`."""
 
-    __slots__ = ("_k", "_resolved", "_norms", "_num", "_den", "_checked")
+    __slots__ = ("_resolved", "_norms", "_num", "_den", "_checked")
 
-    def __init__(self, k: int, resolved: _Resolved, norms: list[int],
-                 beta_sq: Fraction) -> None:
-        self._k, self._resolved, self._norms = k, resolved, norms
+    def __init__(self, resolved: _Resolved, norms: list[int], beta_sq: Fraction,
+                 checked: frozenset) -> None:
+        self._resolved, self._norms, self._checked = resolved, norms, checked
         self._num, self._den = beta_sq.numerator, beta_sq.denominator
-        self._checked: frozenset = frozenset()
 
     def __len__(self) -> int:
         return len(self._resolved.left)
 
     def rows(self, indexes: range, names: Optional[list] = None) -> Iterator[tuple]:
-        """Each cycle's row, for the consecutive `indexes`: (left, right, produced,
-        n_left, n_right, n_produced, num, den, checked), num/den reduced, den > 0;
-        its states are named from `names` by position, the states' ids if None."""
+        """Each cycle's `CycleResult` fields as a plain tuple, for the
+        consecutive `indexes`; its states are named from `names` by
+        position, the states' ids if None."""
         start, stop = indexes.start, indexes.stop
         sizes, _, left, right = self._resolved[1:5]
         ids = self._resolved.ids if names is None else names
@@ -206,11 +216,7 @@ class _CycleResults(_View):
                    (n1, n2) in checked)
 
     def _item(self, i: int) -> CycleResult:
-        left, right, produced, n1, n2, n, num, den, checked = next(
-            self.rows(range(i, i + 1)))
-        k = self._k
-        return CycleResult(StateRef(left, k, n1), StateRef(right, k, n2),
-                           StateRef(produced, k, n), Fraction(num, den), checked)
+        return CycleResult._make(next(self.rows(range(i, i + 1))))
 
 
 class ExecutionReport(NamedTuple):
@@ -235,21 +241,17 @@ class PlanExecutionError(RuntimeError):
 
 
 class _Resolved(NamedTuple):
-    """Each state's id, size and dependency depth by position (the declared
-    states in order, then cycle i's product at D + i, D the number
-    declared), each cycle's operand positions, the final state's and the
-    violations, none for a plan the whole-array tests accept.  The pass
-    that words a plan's violations fills the same columns: an operand
-    naming no state has position None, as have the size and depth of a
-    product of such an operand, and the final state if it is such a product."""
+    """A valid plan's columns: each state's id, size and dependency depth by
+    position (the declared states in order, then cycle i's product at
+    D + i, D the number declared), each cycle's operand positions, and the
+    final state's."""
 
     ids: list
     sizes: list
     depth: list
     left: list
     right: list
-    final: Optional[int]
-    violations: list[str]
+    final: int
 
 
 def _z(k: int, n: int) -> str:
@@ -260,8 +262,8 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
     """The plan's columns.  A valid plan is accepted by whole-array tests:
     k in 1..MAX_K, ids distinct and non-empty, every declared state of the
     plan's k with n >= k, every operand an earlier state consumed once and
-    no smaller than 2k, and the final state the target.  Any other plan is
-    resolved by `_worded_resolve`, which words every violation."""
+    no smaller than 2k, and the final state the target.  Any other plan
+    raises InvalidPlanError with the violations `_violations` words."""
     k, inputs, cycles = plan.k, plan.inputs, plan.cycles
     if (type(inputs) is _Inputs and type(cycles) is _Cycles
             and inputs._ids is cycles._ids and not plan.ancillas):
@@ -292,85 +294,70 @@ def _resolve(plan: ProtocolPlan) -> _Resolved:
         if (final is not None and sizes[final] == plan.target_n
                 and (least >= two_k or min(map(sizes.__getitem__, left + right),
                                            default=two_k) >= two_k)):
-            return _Resolved(ids, sizes, depth, left, right, final, [])
-    return _worded_resolve(plan)
+            return _Resolved(ids, sizes, depth, left, right, final)
+    raise InvalidPlanError(_violations(plan))
 
 
-def _worded_resolve(plan: ProtocolPlan) -> _Resolved:
-    """`_resolve` of a plan that does not validate: one pass in plan order
-    words every violation, of the plan's k, of each declared state, of each
-    cycle's operands and then its produced id, and of the target.  Messages
-    spell every integer with `int_str`, since a product of two declared
-    sizes can pass the `str` digit limit."""
+def _violations(plan: ProtocolPlan) -> list[str]:
+    """The violations of a plan `_resolve` does not accept: one pass in plan
+    order words every violation, of the plan's k, of each declared state,
+    of each cycle's operands and then its produced id, and of the target.
+    Messages spell every integer with `int_str`, since a product of two
+    declared sizes can pass the `str` digit limit."""
     v: list[str] = []
     k = plan.k
     if k < 1:
         v.append(f"plan k must be >= 1, got {int_str(k)}")
     elif k > MAX_K:
         v.append(f"plan k must be at most {MAX_K}, got {int_str(k)}")
-    declared, cycles = (*plan.inputs, *plan.ancillas), plan.cycles
-    d, c, two_k = len(declared), len(cycles), 2 * k
-    index: dict = {}  # each state's position by id: a repeated id's last
-    for s, (sid, sk, sn) in enumerate(declared):
-        if not sid:
-            v.append(f"{'input' if s < len(plan.inputs) else 'ancilla'} state "
-                     f"with empty id")
-        if sid in index:
-            v.append(f"duplicate state id {sid!r}")
-        index[sid] = s
-        if sk != k:
-            v.append(f"state {sid!r} has k={int_str(sk)}, plan k={int_str(k)}")
-        if sn < 1:
-            v.append(f"state {sid!r} has no qubits")
-        elif sn < sk:
-            v.append(f"state {sid!r} has k={int_str(sk)} > n={int_str(sn)}")
-    ids = [*map(itemgetter(0), declared), *map(itemgetter(2), cycles)]
-    sizes = [*map(itemgetter(2), declared), *repeat(None, c)]
-    depth, left, right = [0] * d + [None] * c, [None] * c, [None] * c
-    unresolved, consumed = set(), set()
-    for i, (lid, rid, pid) in enumerate(cycles):
-        a, b = left[i], right[i] = index.get(lid), index.get(rid)
-        for side, op, s in (("left", lid, a), ("right", rid, b)):
-            if s is None:
+    two_k = 2 * k
+    states: dict = {}  # each state's (k, n) by id: a repeated id's last
+    for origin, declared in (("input", plan.inputs), ("ancilla", plan.ancillas)):
+        for sid, sk, sn in declared:
+            if not sid:
+                v.append(f"{origin} state with empty id")
+            if sid in states:
+                v.append(f"duplicate state id {sid!r}")
+            states[sid] = (sk, sn)
+            if sk != k:
+                v.append(f"state {sid!r} has k={int_str(sk)}, plan k={int_str(k)}")
+            if sn < 1:
+                v.append(f"state {sid!r} has no qubits")
+            elif sn < sk:
+                v.append(f"state {sid!r} has k={int_str(sk)} > n={int_str(sn)}")
+    unresolved, consumed, final = set(), set(), None
+    for i, (lid, rid, pid) in enumerate(plan.cycles):
+        sizes = []
+        for side, op in (("left", lid), ("right", rid)):
+            state = states.get(op)
+            if state is None:
                 # A product of an unresolved cycle was worded with it.
                 if op not in unresolved:
                     v.append(f"cycle {i}: {side} operand {op!r} is not an input, "
                              f"ancilla, or earlier product")
                 continue
-            if sizes[s] < two_k:
-                z = _z(declared[s].k if s < d else k, sizes[s])
-                v.append(f"cycle {i}: {side} operand {z} has n < 2k")
+            if state[1] < two_k:
+                v.append(f"cycle {i}: {side} operand {_z(*state)} has n < 2k")
             if op in consumed:
                 v.append(f"cycle {i}: {side} operand {op!r} already consumed")
             consumed.add(op)
+            sizes.append(state[1])
         if not pid:
             v.append(f"cycle {i}: empty produced id")
-        if pid in index or pid in unresolved:
+        if pid in states or pid in unresolved:
             v.append(f"cycle {i}: produced id {pid!r} already in use")
-        if a is None or b is None:
+        if len(sizes) < 2:
             unresolved.add(pid)
+            final = None
         else:
-            index[pid] = d + i
-            sizes[d + i] = sizes[a] + sizes[b] - two_k
-            depth[d + i] = max(depth[a], depth[b]) + 1
-    if cycles:
-        final = None if sizes[-1] is None else d + c - 1
-        if final is not None and sizes[final] != plan.target_n:
-            v.append(f"final product {_z(k, sizes[final])} does not match "
+            final = states[pid] = (k, sizes[0] + sizes[1] - two_k)
+    if plan.cycles:
+        if final is not None and final[1] != plan.target_n:
+            v.append(f"final product {_z(*final)} does not match "
                      f"target {_z(k, plan.target_n)}")
-    else:
-        final = next((s for s, r in enumerate(plan.inputs)
-                      if (r.k, r.n) == (k, plan.target_n)), None)
-        if final is None:
-            v.append("plan with no cycles has no input matching the target")
-    return _Resolved(ids, sizes, depth, left, right, final, v)
-
-
-def _resolve_valid(plan: ProtocolPlan) -> _Resolved:
-    resolved = _resolve(plan)
-    if resolved.violations:
-        raise InvalidPlanError(resolved.violations)
-    return resolved
+    elif (k, plan.target_n) not in [(r.k, r.n) for r in plan.inputs]:
+        v.append("plan with no cycles has no input matching the target")
+    return v
 
 
 def validate_plan(plan: ProtocolPlan) -> list[str]:
@@ -381,7 +368,11 @@ def validate_plan(plan: ProtocolPlan) -> list[str]:
     names an input, ancilla or earlier product, single consumption, id
     uniqueness, and the target arithmetic.
     """
-    return _resolve(plan).violations
+    try:
+        _resolve(plan)
+    except InvalidPlanError as exc:
+        return exc.violations
+    return []
 
 
 def critical_path(plan: ProtocolPlan) -> list[int]:
@@ -391,7 +382,7 @@ def critical_path(plan: ProtocolPlan) -> list[int]:
     not depend on lies deeper; its length is then still the ledger's depth
     plus one.  Raises InvalidPlanError for a plan that does not validate.
     """
-    _, sizes, depth, left, right, final, _ = _resolve_valid(plan)
+    _, sizes, depth, left, right, final = _resolve(plan)
     d = len(sizes) - len(left)  # state s >= d is cycle s - d's product
     # max keeps the first of equals: the final state on a tie.
     s = max([final, *range(d, len(sizes))], key=depth.__getitem__)
@@ -459,8 +450,8 @@ def execute_plan(plan: ProtocolPlan,
     fails that first cycle, one it returns None for (beyond its reach)
     stays unchecked.  Errors name the failing cycle index.
     """
-    resolved = _resolve_valid(plan)
-    ids, sizes, depth, left, right, final = resolved[:6]
+    resolved = _resolve(plan)
+    ids, sizes, depth, left, right, final = resolved
     k, c, d = plan.k, len(left), len(sizes) - len(left)
     # A plan without cycles derives nothing: beta_sq**0 is 1 whatever it is.
     beta_sq = _step_beta_sq(k) if c else Fraction(1)
@@ -471,23 +462,22 @@ def execute_plan(plan: ProtocolPlan,
     for s in unused.intersection(range(d)):
         read[s] = k
     norms = list(map(comb, read, repeat(k)))
-    cycles = _CycleResults(k, resolved, norms, beta_sq)
+    checked = set()
     if oracle is not None:
         # Checked before any report is written, so a run whose oracle
         # disagrees writes nothing; only the checked cells are kept.
+        unchecked = _CycleResults(resolved, norms, beta_sq, frozenset())
         first: dict[tuple[int, int], int] = {}  # each cell's first cycle
         for i, a, b in zip(range(c), left, right):
             first.setdefault((sizes[a], sizes[b]), i)
-        checked = set()
         for cell, i in first.items():
-            num, den = next(cycles.rows(range(i, i + 1)))[6:8]
-            problems = oracle(k, *cell, Fraction(num, den))
+            problems = oracle(k, *cell, unchecked[i].probability)
             if problems:
                 raise PlanExecutionError(
                     i, "oracle disagreement: " + "; ".join(problems))
             if problems is not None:
                 checked.add(cell)
-        cycles._checked = frozenset(checked)
+    cycles = _CycleResults(resolved, norms, beta_sq, frozenset(checked))
     ins, anc = sum(sizes[:len(plan.inputs)]), sum(sizes[len(plan.inputs):d])
     ledger = ResourceLedger(ins, anc, 2 * k * c, c, ins + anc - 2 * k * c, max(depth))
     return ExecutionReport(cycles, _telescoped(norms, unused, d, beta_sq), ledger,

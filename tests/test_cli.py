@@ -164,10 +164,9 @@ def reference_json(plan, report):
         "cycles": [
             {
                 "index": i,
-                "left": r.left.id,
-                "right": r.right.id,
-                "produced": {"id": r.produced.id, "k": r.produced.k,
-                             "n": r.produced.n},
+                "left": r.left,
+                "right": r.right,
+                "produced": {"id": r.produced, "k": plan.k, "n": r.n_produced},
                 "probability": frac(r.probability),
                 "oracle_checked": r.oracle_checked,
             }
@@ -784,7 +783,7 @@ def test_a_valid_explicit_plan_takes_the_one_test_paths(tmp_path, capsys,
     plan, down the slow path."""
     calls = collections.Counter()
     for module, name in ((zstates.plandoc, "_parse_entry"),
-                         (zstates.protocol, "_worded_resolve")):
+                         (zstates.protocol, "_violations")):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
             return _original(*args)
@@ -808,7 +807,7 @@ def test_a_valid_explicit_plan_takes_the_one_test_paths(tmp_path, capsys,
     doc["cycles"][-1]["right"] = "ghost"
     path.write_text(json.dumps(doc))
     assert run_cli(capsys, "graph", str(path))[0] == 3
-    assert calls == {"_worded_resolve": 1}
+    assert calls == {"_violations": 1}
     doc["inputs"][-1]["n"] = True
     path.write_text(json.dumps(doc))
     assert run_cli(capsys, "graph", str(path))[0] == 2

@@ -81,5 +81,5 @@ def test_golden_checked_cycles_report_the_closed_form(name):
     plan = document_to_plan(load_case(name)[0])
     report = execute_plan(plan, check_distillation_cell)
     assert all(c.oracle_checked and c.probability
-               == success_probability(plan.k, c.left.n, c.right.n)
+               == success_probability(plan.k, c.n_left, c.n_right)
                for c in report.cycles)

@@ -191,12 +191,12 @@ def test_oracle_sees_every_cycle_under_its_own_id():
     report = execute_plan(plan, oracle)
     assert len(seen) < len(plan.cycles)
     assert all(c.oracle_checked for c in report.cycles)
-    assert [c.produced.id for c in report.cycles] == [
+    assert [c.produced for c in report.cycles] == [
         c.produced for c in plan.cycles]
     first = {}
     for c in report.cycles:
-        assert c.probability == success_probability(1, c.left.n, c.right.n)
-        first.setdefault((c.left.n, c.right.n), c.probability)
+        assert c.probability == success_probability(1, c.n_left, c.n_right)
+        first.setdefault((c.n_left, c.n_right), c.probability)
     assert seen == [(n1, n2, p) for (n1, n2), p in first.items()]
 
 
@@ -220,7 +220,7 @@ def test_one_store_replays_each_distinct_cell_once(monkeypatch):
 
     plan = gen_exponential_plan(3, 31)
     report = execute_plan(plan, oracle)
-    cells = [(c.left.n, c.right.n) for c in report.cycles]
+    cells = [(c.n_left, c.n_right) for c in report.cycles]
     assert calls == list(dict.fromkeys(cells))
     in_reach = [n1 + n2 <= DENSE_CAP for n1, n2 in cells]
     assert [c.oracle_checked for c in report.cycles] == in_reach
@@ -232,7 +232,7 @@ def test_a_failing_repeated_cell_stops_at_its_first_cycle():
     """An oracle that fails the repeated (7, 7) cell stops the run at that
     cell's first cycle, after earlier cycles on other cells passed."""
     plan = gen_exponential_plan(3, 31)
-    cells = [(c.left.n, c.right.n) for c in execute_plan(plan).cycles]
+    cells = [(c.n_left, c.n_right) for c in execute_plan(plan).cycles]
     first = cells.index((7, 7))
     assert cells.count((7, 7)) == 8
 
@@ -255,7 +255,7 @@ def test_checked_cycles_report_the_closed_form(plan):
     report = execute_plan(plan, check_distillation_cell)
     checked = [c for c in report.cycles if c.oracle_checked]
     assert checked
-    assert all(c.probability == success_probability(plan.k, c.left.n, c.right.n)
+    assert all(c.probability == success_probability(plan.k, c.n_left, c.n_right)
                for c in checked)
 
 
@@ -272,9 +272,10 @@ def fresh_run(plan, step=distill_step):
         refs[cyc.produced] = StateRef(cyc.produced, plan.k,
                                       left.n + right.n - 2 * plan.k)
         states[cyc.produced] = outcome.post_state
-        cumulative *= outcome.success_probability
-        results.append(CycleResult(left, right, refs[cyc.produced],
-                                   outcome.success_probability))
+        p = outcome.success_probability
+        cumulative *= p
+        results.append(CycleResult(*cyc, left.n, right.n, refs[cyc.produced].n,
+                                   p.numerator, p.denominator))
     final = plan.cycles[-1].produced if plan.cycles else plan.inputs[0].id
     return tuple(results), cumulative, states[final]
 
@@ -330,7 +331,7 @@ def test_each_shape_is_derived_once(monkeypatch):
 
     monkeypatch.setattr(zstates.protocol, "distill_step", counted)
     report = execute_plan(gen_exponential_plan(1, 100))
-    sizes = [(c.left.n, c.right.n) for c in report.cycles]
+    sizes = [(c.n_left, c.n_right) for c in report.cycles]
     assert len(set(sizes)) > 1
     assert calls == [(2, 2)]
 
@@ -425,25 +426,25 @@ def test_random_plan_forests(plan):
     if plan.k <= 2:
         checked = execute_plan(plan, check_distillation_cell)
         assert [c.oracle_checked for c in checked.cycles] == [
-            c.left.n + c.right.n <= DENSE_CAP for c in checked.cycles]
+            c.n_left + c.n_right <= DENSE_CAP for c in checked.cycles]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(plan_forests())
 def test_rows_match_the_cycle_results(plan):
-    """The rows the writers read hold each cycle's ids, as the plan names
-    them, the sizes of its three states, and its probability as the
-    reduced num/den of the `CycleResult` indexing builds, with den > 0."""
+    """The rows the writers read are plain tuples, each the fields of the
+    `CycleResult` indexing wraps: the cycle's ids, as the plan names them,
+    the sizes of its three states, and its probability as a reduced
+    num/den, den > 0, which `probability` reads as a `Fraction`."""
     cycles = execute_plan(plan, check_distillation_cell).cycles
     rows = list(cycles.rows(range(len(cycles))))
     assert len(rows) == len(plan.cycles)
-    k = plan.k
-    for row, cyc, r in zip(rows, plan.cycles, cycles):
-        left, right, produced, n1, n2, n, num, den, checked = row
-        assert (left, right, produced) == cyc
-        assert (StateRef(left, k, n1), StateRef(right, k, n2),
-                StateRef(produced, k, n), Fraction(num, den), checked) == r
-        assert gcd(num, den) == 1 and den > 0
+    for i, (row, cyc) in enumerate(zip(rows, plan.cycles)):
+        r = cycles[i]
+        assert type(row) is tuple and tuple(r) == row
+        assert (r.left, r.right, r.produced) == cyc
+        assert r.probability == Fraction(r.num, r.den)
+        assert gcd(r.num, r.den) == 1 and r.den > 0
 
 
 def per_side_resolve(plan):
@@ -569,40 +570,82 @@ def with_plan_fault(plan, fault, pick):
 
 
 def by_id(plan, resolved):
-    """`_resolve`'s columns, by position, mapped back to the fields the
+    """A valid plan's columns, by position, mapped back to the fields the
     per-side checks return: refs, depth and consumed by id, the final
-    state and the violations.  Its ids are the declared ids, then the
+    state and no violations.  Its ids are the declared ids, then the
     produced ids."""
-    ids, sizes, depth, left, right, final, violations = resolved
+    ids, sizes, depth, left, right, final = resolved
     declared = (*plan.inputs, *plan.ancillas)
     d, c = len(declared), len(plan.cycles)
     assert ids == [r.id for r in declared] + [cyc.produced for cyc in plan.cycles]
     assert (len(sizes), len(depth), len(left), len(right)) == (d + c, d + c, c, c)
-    assert [n is None for n in sizes] == [h is None for h in depth]
     states = [*declared, *(StateRef(cyc.produced, plan.k, n)
                            for cyc, n in zip(plan.cycles, sizes[d:]))]
-    refs, depths = {}, {}
-    for s, ref in enumerate(states):
-        if sizes[s] is not None:  # a product whose operands both resolved
-            refs[ref.id] = ref
-            if s >= d:
-                depths[ref.id] = depth[s]
-    consumed = {states[s].id for s in (*left, *right) if s is not None}
-    return (refs, depths, consumed, None if final is None else states[final],
-            violations)
+    refs = {ref.id: ref for ref in states}
+    depths = {ref.id: depth[s] for s, ref in enumerate(states) if s >= d}
+    consumed = {states[s].id for s in (*left, *right)}
+    return refs, depths, consumed, states[final], []
+
+
+def resolved_or_violations(plan):
+    """The plan's columns, or, for a plan `_resolve` refuses, the violations
+    it raises with."""
+    try:
+        return _resolve(plan)
+    except InvalidPlanError as exc:
+        return exc.violations
+
+
+def assert_resolves_as_the_per_side_checks(plan, resolved):
+    """`resolved`, the plan's `resolved_or_violations`, is what the per-side
+    checks found: their violations, in order, for a plan they find faulty,
+    and for a valid one columns that read back by id as their states,
+    depths, consumed ids and final state."""
+    expected = per_side_resolve(plan)
+    if expected[-1]:
+        assert resolved == expected[-1]
+    else:
+        assert by_id(plan, resolved) == expected
 
 
 @settings(derandomize=True, deadline=None, max_examples=400, database=None)
 @given(plan_forests(), st.sampled_from(PLAN_FAULTS), st.data())
 def test_one_test_resolve_matches_the_per_side_checks(plan, fault, data):
     """With one fault in a valid plan, `_resolve` finds what the per-side
-    checks found: the same violations in the same order, and, read back by
-    id from its columns, the same states, depths, consumed ids and final
-    state."""
+    checks found: for a plan they find faulty, the same violations in the
+    same order; for a valid one, read back by id from its columns, the
+    same states, depths, consumed ids and final state."""
     plan = with_plan_fault(plan, fault, lambda seq: data.draw(st.sampled_from(seq)))
-    expected = per_side_resolve(plan)
-    assert by_id(plan, _resolve(plan)) == expected
-    assert validate_plan(plan) == expected[-1]
+    assert_resolves_as_the_per_side_checks(plan, resolved_or_violations(plan))
+    assert validate_plan(plan) == per_side_resolve(plan)[-1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(plan_forests(), st.sampled_from(PLAN_FAULTS), st.data())
+def test_resolve_raises_with_the_violations_validate_plan_lists(
+        plan, fault, data):
+    """`_resolve` raises InvalidPlanError with exactly `validate_plan`'s
+    violations, in order, for a plan with one fault, and never runs the
+    pass that words them for a valid plan."""
+    plan = with_plan_fault(plan, fault, lambda seq: data.draw(st.sampled_from(seq)))
+    violations = validate_plan(plan)
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return words(p)
+
+    words, zstates.protocol._violations = zstates.protocol._violations, counted
+    try:
+        if violations:
+            with pytest.raises(InvalidPlanError) as raised:
+                _resolve(plan)
+            assert raised.value.violations == violations and calls == [plan]
+        else:
+            _resolve(plan)
+            assert calls == []
+    finally:
+        zstates.protocol._violations = words
 
 
 def dict_critical_path(plan):
@@ -656,7 +699,7 @@ def dict_row(plan, refs, beta_sq, i):
     num = beta_sq.numerator * binom(produced.n, k)
     den = beta_sq.denominator * binom(left.n, k) * binom(right.n, k)
     g = gcd(num, den)
-    return CycleResult(left, right, produced, Fraction(num // g, den // g))
+    return CycleResult(*cyc, left.n, right.n, produced.n, num // g, den // g)
 
 
 GENERATED = [pytest.param(plan, id=f"{name}-k{k}") for k in range(1, 6)
@@ -679,11 +722,8 @@ def assert_columns_match_the_dict_readers(plan):
     assert report.cumulative_success == dict_telescoped(plan, beta_sq)
     expected = [dict_row(plan, refs, beta_sq, i) for i in range(len(plan.cycles))]
     assert list(report.cycles) == expected
-    k, cycles = plan.k, report.cycles
-    for row, want in zip(cycles.rows(range(len(cycles))), expected):
-        left, right, produced, n1, n2, n, num, den, _ = row
-        assert (StateRef(left, k, n1), StateRef(right, k, n2),
-                StateRef(produced, k, n), Fraction(num, den)) == want[:4]
+    cycles = report.cycles
+    assert list(cycles.rows(range(len(cycles)))) == expected
     # A negative index reads cycle C + i, never the state at D + i.
     for i in range(-len(expected), 0):
         assert cycles[i] == expected[i]
@@ -730,7 +770,7 @@ def test_cumulative_equals_product_of_closed_forms():
         report = execute_plan(plan)
         product = Fraction(1)
         for res in report.cycles:
-            p = success_probability(plan.k, res.left.n, res.right.n)
+            p = success_probability(plan.k, res.n_left, res.n_right)
             assert res.probability == p
             product *= p
         assert report.cumulative_success == product
@@ -746,7 +786,7 @@ def test_exact_plan_shape():
     assert mids == ["mid", "out"]
     report = execute_plan(plan)
     assert report.final.n == 11
-    assert [c.produced.n for c in report.cycles] == [9, 11]
+    assert [c.n_produced for c in report.cycles] == [9, 11]
 
 
 def test_exact_plan_is_lossless():
@@ -773,7 +813,7 @@ def test_incremental_w6_sequence():
     plan = gen_incremental_plan(1, 6)
     assert len(plan.cycles) == 3
     report = execute_plan(plan)
-    assert [c.produced.n for c in report.cycles] == [4, 5, 6]
+    assert [c.n_produced for c in report.cycles] == [4, 5, 6]
     assert report.final == StateRef("s3", 1, 6)
 
 
@@ -877,9 +917,9 @@ def tuple_twin(plan):
 
 
 def assert_resolves_as_its_tuple_twin(plan):
-    resolved = _resolve(plan)
-    assert resolved == _resolve(tuple_twin(plan))
-    assert by_id(plan, resolved) == per_side_resolve(plan)
+    resolved = resolved_or_violations(plan)
+    assert resolved == resolved_or_violations(tuple_twin(plan))
+    assert_resolves_as_the_per_side_checks(plan, resolved)
 
 
 @pytest.mark.parametrize("fault", PLAN_FAULTS)

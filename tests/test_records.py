@@ -1,8 +1,6 @@
 """The plan, report and document records: immutable values, compared and
 hashed by their fields."""
 
-from fractions import Fraction
-
 import pytest
 
 from conftest import fresh_outcome
@@ -60,8 +58,7 @@ def test_records_are_immutable_values(name):
 
 
 def test_record_defaults():
-    ref = StateRef("a", 1, 3)
-    assert CycleResult(ref, ref, ref, Fraction(1, 2)).oracle_checked is False
+    assert CycleResult("a", "b", "c", 3, 3, 4, 1, 2).oracle_checked is False
     doc = PlanDocument(k=1, target_n=6, mode="incremental")
     assert (doc.n1, doc.n2, doc.inputs, doc.ancillas, doc.cycles) == (
         None, None, (), (), ())

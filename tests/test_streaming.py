@@ -12,7 +12,6 @@ import pytest
 
 from test_cli import reference_json, written
 from zstates.cli import (
-    _frac_str,
     _ledger_items,
     _state_str,
     report_to_json,
@@ -26,7 +25,7 @@ from zstates.protocol import (
     Cycle,
     ProtocolPlan,
     StateRef,
-    _resolve_valid,
+    _resolve,
     execute_plan,
     gen_exponential_plan,
     gen_incremental_plan,
@@ -38,16 +37,24 @@ def joined_text(plan, report):
     """The text report as one string, as it was built before it streamed."""
     lines = [f"plan: k={plan.k} cycles={len(plan.cycles)} "
              f"target=Z_{plan.k}({plan.target_n})"]
+
+    def frac_str(num, den):
+        return int_str(num) if den == 1 else f"{int_str(num)}/{int_str(den)}"
+
+    def state_str(sid, n):
+        return f"{_state_str(StateRef(sid, plan.k, n))}[{sid}]"
+
     for i, r in enumerate(report.cycles):
         oracle = "  [oracle ok]" if r.oracle_checked else ""
         lines.append(
-            f"cycle {i + 1}: {_state_str(r.left)}[{r.left.id}] + "
-            f"{_state_str(r.right)}[{r.right.id}] -> "
-            f"{_state_str(r.produced)}[{r.produced.id}]  "
-            f"p = {_frac_str(r.probability)} "
+            f"cycle {i + 1}: {state_str(r.left, r.n_left)} + "
+            f"{state_str(r.right, r.n_right)} -> "
+            f"{state_str(r.produced, r.n_produced)}  "
+            f"p = {frac_str(r.num, r.den)} "
             f"(~ {approx_decimal(r.probability)}){oracle}")
+    cumulative = report.cumulative_success
     lines.append("cumulative success probability: "
-                 f"{_frac_str(report.cumulative_success)} "
+                 f"{frac_str(cumulative.numerator, cumulative.denominator)} "
                  f"(~ {approx_decimal(report.cumulative_success)})")
     lines.append("ledger: " + " ".join(
         [f"{name}={int_str(value)}" for name, value in _ledger_items(report.ledger)]))
@@ -59,7 +66,7 @@ def joined_dot(plan):
     """The DOT source as one string, as it was built before it streamed;
     a product's size is read from the resolved columns, at its position."""
     bases = (*plan.inputs, *plan.ancillas)
-    sizes = _resolve_valid(plan).sizes
+    sizes = _resolve(plan).sizes
     node = {i: _quote("~" + i if i.startswith(("proj", "~")) else i)
             for i in [*(r.id for r in bases), *(c.produced for c in plan.cycles)]}
     k = int_str(plan.k)
